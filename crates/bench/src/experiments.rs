@@ -1,5 +1,4 @@
-//! Reusable, testable cores of the `exp_*` binaries and their scenario-grid
-//! builders.
+//! Reusable, testable experiment cores and their scenario-grid builders.
 //!
 //! The experiment stack has three layers. At the bottom sit the
 //! **single-trial builders** (`table1_summary`, `fig5_run`, `fig7_run`,
@@ -15,11 +14,11 @@
 //! those, the **grid builders** (`fig5_grid`, `topology_size_grid`, ...)
 //! describe each experiment as a [`ScenarioGrid`] — one cell per
 //! (protocol × parameter) combination, each cell running one single-trial
-//! builder from a derived seed. The binaries are then thin shells that
-//! parse `--protocols/--trials/--threads/--seed/--json` via
-//! [`HarnessCli`](crate::harness::HarnessCli), hand the grid to the
-//! parallel engine in [`crate::harness`], and print/serialize the
-//! aggregated [`GridReport`](crate::report::GridReport).
+//! builder from a derived seed. The [`crate::catalogue`] maps every grid
+//! name to one of these builders with its defaults; the `exp` binary and
+//! the `dimmerd` daemon hand the grid to the parallel engine in
+//! [`crate::harness`] and print/serialize the aggregated
+//! [`GridReport`](crate::report::GridReport).
 
 use std::sync::Arc;
 
@@ -52,18 +51,18 @@ pub const TESTBED_PROTOCOLS: [&str; 3] = ["static", "dimmer-dqn", "pid"];
 pub const DCUBE_PROTOCOLS: [&str; 3] = ["static", "dimmer-dqn", "crystal"];
 
 /// The registry protocols the dynamic-world scenarios compare
-/// (`exp_dynamics`): the testbed LWB protocols — Crystal is
+/// (`dynamics:*`): the testbed LWB protocols — Crystal is
 /// collection-only — in presentation order.
 pub const DYNAMICS_PROTOCOLS: [&str; 4] = ["static", "dimmer-dqn", "dimmer-rule", "pid"];
 
-/// Every protocol `exp_dynamics --protocols` accepts: the pinned default
+/// Every protocol a `dynamics:*` grid accepts: the pinned default
 /// comparison ([`DYNAMICS_PROTOCOLS`], whose grid digest is golden-tested)
 /// plus the opt-in `dimmer-zoo` meta-controller. Kept separate so adding
 /// opt-in protocols never changes the default run's bytes.
 pub const DYNAMICS_SUPPORTED: [&str; 5] =
     ["static", "dimmer-dqn", "dimmer-rule", "pid", "dimmer-zoo"];
 
-/// Table I + §IV-B footprint numbers (`exp_table1`).
+/// Table I + §IV-B footprint numbers (the `table1` grid).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table1Summary {
     /// Total DQN input dimension (31 for the paper's configuration).
@@ -80,7 +79,7 @@ pub struct Table1Summary {
     pub pretrained_shipped: bool,
 }
 
-/// Builds the Table I summary for `cfg` (`exp_table1`).
+/// Builds the Table I summary for `cfg`.
 pub fn table1_summary(cfg: &DimmerConfig) -> Table1Summary {
     let builder = StateBuilder::new(cfg.clone());
     let example_state = builder.build(&GlobalView::new(18), cfg.initial_ntx);
@@ -196,7 +195,7 @@ pub fn run_protocol(
         .policy(policy.clone())
         .seed(seed)
         .build_protocol(protocol)
-        // lint: allow(P002) -- callers pass registry names vetted by HarnessCli::select_protocols
+        // lint: allow(P002) -- callers pass registry names vetted by catalogue::check_protocols
         .unwrap_or_else(|e| panic!("{e}"));
     summarize(&sim.run_rounds(rounds))
 }
@@ -252,7 +251,7 @@ pub fn fig6_single(rounds: usize, seed: u64, selection: bool) -> Vec<DimmerRound
     sim.run_rounds(rounds)
 }
 
-/// Runs the interference-free forwarder-selection experiment (`exp_fig6`):
+/// Runs the interference-free forwarder-selection experiment (`fig6`):
 /// DQN deactivated, Exp3 bandits learning passive roles, next to the
 /// all-forwarders reference run.
 pub fn fig6_run(rounds: usize, seed: u64) -> Fig6Summary {
@@ -340,7 +339,7 @@ pub fn fig7_run(
         .traffic(traffic)
         .seed(seed)
         .build_protocol(protocol)
-        // lint: allow(P002) -- callers pass registry names vetted by HarnessCli::select_protocols
+        // lint: allow(P002) -- callers pass registry names vetted by catalogue::check_protocols
         .unwrap_or_else(|e| panic!("{e}"));
     sim.run_rounds(rounds);
     AppOutcome {
@@ -360,7 +359,7 @@ fn testbed_period_ms() -> f64 {
 }
 
 /// The Table I / §IV-B footprint numbers as a single-cell grid
-/// (`exp_table1`). The metrics are deterministic, so every trial reproduces
+/// (`table1`). The metrics are deterministic, so every trial reproduces
 /// the same values (stddev 0).
 pub fn table1_grid(cfg: &DimmerConfig) -> ScenarioGrid {
     let cfg = cfg.clone();
@@ -415,7 +414,7 @@ pub fn fig4b_trial(
         .with("dqn_size_kb", size_kb)
 }
 
-/// The Fig. 4b feature-selection grid (`exp_fig4b`): input-node counts
+/// The Fig. 4b feature-selection grid (`fig4b:<part>`): input-node counts
 /// K ∈ {1, 5, 10, 15, 18} (part `"nodes"`) and history sizes M ∈ {0..5}
 /// (part `"history"`); `"both"` selects all eleven cells. All cells train
 /// on the shared `traces`.
@@ -464,11 +463,11 @@ pub fn fig4b_grid(
 /// A pre-computed single run that a grid cell may reuse instead of
 /// re-simulating, keyed by the derived trial seed it was produced with.
 ///
-/// The `exp_fig4c`/`exp_fig6` binaries print a per-round timeline for the
-/// default single-trial case; handing the same reports to the grid builder
-/// avoids simulating that (seed, configuration) pair a second time. A cell
-/// only uses the cache when the trial seed matches, so a stale cache can
-/// never change results.
+/// The `exp` binary prints a per-round timeline of `fig4c`, `fig6` and
+/// `dynamics:*` for the default single-trial case; handing the same
+/// reports to the grid builder avoids simulating that (seed,
+/// configuration) pair a second time. A cell only uses the cache when the
+/// trial seed matches, so a stale cache can never change results.
 #[derive(Clone)]
 pub struct CachedRun {
     seed: u64,
@@ -493,7 +492,7 @@ impl CachedRun {
     }
 }
 
-/// The Fig. 4c/4d dynamic-interference grid (`exp_fig4c`): the selected
+/// The Fig. 4c/4d dynamic-interference grid (`fig4c`): the selected
 /// `protocols` (from `"dimmer-dqn"` and `"pid"`) through the scripted
 /// 27-minute jamming timeline. `dimmer_cache`/`pid_cache` may hold
 /// already-simulated runs (see [`CachedRun`]).
@@ -539,14 +538,14 @@ pub fn fig4c_grid(
                     },
                 );
             }
-            // lint: allow(P002) -- select_protocols restricts --protocols to this experiment's supported set
+            // lint: allow(P002) -- catalogue::check_protocols restricts the selection to this experiment's supported set
             other => panic!("fig4c supports dimmer-dqn and pid, got '{other}'"),
         }
     }
     grid
 }
 
-/// The Fig. 5 static-interference grid (`exp_fig5`): every selected
+/// The Fig. 5 static-interference grid (`fig5`): every selected
 /// registry protocol at every jamming duty cycle in `levels`.
 pub fn fig5_grid(
     policy: AdaptivityPolicy,
@@ -576,7 +575,7 @@ pub fn fig5_grid(
 }
 
 /// Preset: a dense seed sweep of the Fig. 5 jamming comparison at 10 % and
-/// 25 % duty cycle (`exp_sweep --preset fig5-seeds`). The cells are the
+/// 25 % duty cycle (`fig5-seeds`). The cells are the
 /// regular Fig. 5 cells; the point of the preset is running them with large
 /// `--trials` to estimate the *distribution* of each protocol's reliability,
 /// which a single-trial run cannot.
@@ -590,7 +589,7 @@ pub fn fig5_seed_sweep_grid(
 
 /// Preset: the selected protocols on square grid topologies of growing size
 /// with one 15 %-duty-cycle jammer at the grid centre
-/// (`exp_sweep --preset topology-size`) — a scalability sweep no paper
+/// (`topology-size`) — a scalability sweep no paper
 /// figure covers. Defaults to static LWB vs rule-based Dimmer.
 pub fn topology_size_grid(rounds: usize, sides: &[usize], protocols: &[String]) -> ScenarioGrid {
     let mut grid = ScenarioGrid::new("topology_size");
@@ -622,47 +621,6 @@ pub fn topology_size_grid(rounds: usize, sides: &[usize], protocols: &[String]) 
         }
     }
     grid
-}
-
-/// Preset: batched floods over the city-scale sparse worlds
-/// (`exp_sweep --preset city`) — the first sweep that runs on CSR-only
-/// compiled topologies from [`dimmer_sim::topogen`], far beyond anything a
-/// dense [`Topology`] can represent. Each trial builds the preset world
-/// (fixed world seed — the world *is* the cell), drives `floods`
-/// independent floods through one shared [`dimmer_glossy::FloodBatch`]
-/// with initiators
-/// rotating across the network and per-flood seeds derived from the trial
-/// seed, and reports flood-level metrics. A jammer parked at the world
-/// centroid supplies interference. All metrics are deterministic per seed,
-/// so harness reports stay byte-identical across `--threads`.
-pub fn city_scale_grid(floods: usize) -> ScenarioGrid {
-    city_scale_grid_from_worlds(floods, city_worlds().into_iter().map(Arc::new).collect())
-}
-
-/// [`city_scale_grid`] with intra-cell parallel flood batching: each trial
-/// fans its `floods` jobs across `batch_threads` scoped workers via
-/// [`dimmer_glossy::FloodBatch::run_parallel`]. Reports are byte-identical
-/// to the serial grid for every `batch_threads` (parallel batching is pure
-/// prefetch), so this only changes wall-clock — which is exactly what the
-/// CI scale-smoke `cmp` pins.
-pub fn city_scale_grid_with_threads(floods: usize, batch_threads: usize) -> ScenarioGrid {
-    city_scale_grid_from_worlds_threaded(
-        floods,
-        city_worlds().into_iter().map(Arc::new).collect(),
-        batch_threads,
-    )
-}
-
-/// Preset: one 10 000-node sparse grid cell with intra-cell parallel
-/// batching (`exp_sweep --preset grid10k`) — the scale rung the
-/// threads-scaling bench curve (`BENCH_flood.json` `"parallel"`) measures,
-/// exposed as a sweep so CI can `cmp` `--threads 1` vs `--threads 4`
-/// reports byte-for-byte.
-pub fn grid10k_scale_grid(floods: usize, batch_threads: usize) -> ScenarioGrid {
-    let world = CityWorld::build("grid_100x100", || {
-        dimmer_sim::topogen::sparse_grid(100, 100, 8.0, 1)
-    });
-    city_scale_grid_from_worlds_threaded(floods, vec![Arc::new(world)], batch_threads)
 }
 
 /// A prebuilt city-scale world: the compiled CSR topology, its
@@ -742,21 +700,33 @@ pub fn city_worlds() -> Vec<CityWorld> {
     ]
 }
 
-/// The city grid over prebuilt [`CityWorld`]s: trials clone the compiled
-/// world and bank instead of rebuilding them, which is what lets the
-/// `dimmerd` daemon serve city sweeps from its warm cache. Reports are
-/// byte-identical to [`city_scale_grid`] (pinned by the scheduler
-/// extraction goldens).
-pub fn city_scale_grid_from_worlds(floods: usize, worlds: Vec<Arc<CityWorld>>) -> ScenarioGrid {
-    city_scale_grid_from_worlds_threaded(floods, worlds, 1)
+/// The one 10 000-node sparse grid world of the `grid10k` grid — the scale
+/// rung the threads-scaling bench curve (`BENCH_flood.json` `"parallel"`)
+/// measures, run as a grid so CI can `cmp` `--threads 1` vs `--threads 4`
+/// reports byte-for-byte.
+pub fn grid10k_world() -> CityWorld {
+    CityWorld::build("grid_100x100", || {
+        dimmer_sim::topogen::sparse_grid(100, 100, 8.0, 1)
+    })
 }
 
-/// [`city_scale_grid_from_worlds`] with intra-cell parallel batching:
-/// every trial runs its flood jobs through
-/// [`dimmer_glossy::FloodBatch::run_parallel`] across `batch_threads`
-/// scoped workers (1 = the serial path). Byte-identical reports for every
-/// thread count.
-pub fn city_scale_grid_from_worlds_threaded(
+/// Batched floods over prebuilt city-scale sparse worlds (the `city`
+/// grid of [`crate::catalogue`]): the CSR-only compiled topologies from
+/// [`dimmer_sim::topogen`], far beyond anything a dense [`Topology`] can
+/// represent. Each trial stamps out a [`dimmer_glossy::FloodBatch`] from
+/// its cell's world (fixed world seed — the world *is* the cell), drives
+/// `floods` independent floods through it with initiators rotating across
+/// the network and per-flood seeds derived from the trial seed, and
+/// reports flood-level metrics. A jammer parked at the world centroid
+/// supplies interference.
+///
+/// Trials clone the compiled world and bank instead of rebuilding them,
+/// which is what lets the `dimmerd` daemon serve city sweeps from its warm
+/// cache. Each trial fans its flood jobs across `batch_threads` scoped
+/// workers via [`dimmer_glossy::FloodBatch::run_parallel`] (1 = the serial
+/// path). Reports are byte-identical for every `batch_threads` and every
+/// harness `--threads`.
+pub fn city_scale_grid(
     floods: usize,
     worlds: Vec<Arc<CityWorld>>,
     batch_threads: usize,
@@ -814,7 +784,7 @@ pub fn city_scale_grid_from_worlds_threaded(
     grid
 }
 
-/// The Fig. 6 forwarder-selection grid (`exp_fig6`): Exp3 forwarder
+/// The Fig. 6 forwarder-selection grid (`fig6`): Exp3 forwarder
 /// selection against the all-forwarders reference. `selection_cache` may
 /// hold an already-simulated with-selection run (see [`CachedRun`]).
 pub fn fig6_grid(rounds: usize, selection_cache: Option<CachedRun>) -> ScenarioGrid {
@@ -840,7 +810,7 @@ pub fn fig6_grid(rounds: usize, selection_cache: Option<CachedRun>) -> ScenarioG
     grid
 }
 
-/// The Fig. 7 D-Cube grid (`exp_fig7`): every selected registry protocol
+/// The Fig. 7 D-Cube grid (`fig7`): every selected registry protocol
 /// under every interference scenario on the 48-node collection workload.
 pub fn fig7_grid(policy: AdaptivityPolicy, rounds: usize, protocols: &[String]) -> ScenarioGrid {
     let mut grid = ScenarioGrid::new("fig7");
@@ -869,7 +839,7 @@ pub fn fig7_grid(policy: AdaptivityPolicy, rounds: usize, protocols: &[String]) 
 }
 
 /// Runs one registry protocol through a dynamic-world scenario preset on
-/// the 18-node testbed (one `exp_dynamics` trial), returning the per-round
+/// the 18-node testbed (one `dynamics:*` trial), returning the per-round
 /// reports.
 ///
 /// # Panics
@@ -884,7 +854,7 @@ pub fn dynamics_run(
 ) -> Vec<DimmerRoundReport> {
     let topo = Topology::kiel_testbed_18(1);
     let sc = dynamic_scenario(scenario, rounds, &topo)
-        // lint: allow(P002) -- documented # Panics contract; exp_dynamics validates --scenario first
+        // lint: allow(P002) -- documented # Panics contract; the catalogue validates the preset first
         .unwrap_or_else(|| panic!("unknown dynamic scenario '{scenario}'"));
     let mut sim = SimulationBuilder::new(&topo)
         .interference(sc.interference.as_ref())
@@ -897,11 +867,11 @@ pub fn dynamics_run(
     sim.run_rounds(rounds)
 }
 
-/// The dynamic-world grid (`exp_dynamics`): every selected registry
+/// The dynamic-world grid (`dynamics:<preset>`): every selected registry
 /// protocol through one scenario preset, with overall metrics plus
 /// per-phase summary buckets (`rel@<phase>`, `radio@<phase>`,
 /// `alive@<phase>`). `first_cache` may hold an already-simulated run of
-/// the *first* protocol (see [`CachedRun`]; the binary's single-trial
+/// the *first* protocol (see [`CachedRun`]; `exp`'s single-trial
 /// timeline reuses it).
 ///
 /// # Panics
@@ -918,7 +888,7 @@ pub fn dynamics_grid(
     let topo = Topology::kiel_testbed_18(1);
     let bounds: Vec<(&'static str, usize)> = dynamic_scenario(scenario, rounds, &topo)
         .unwrap_or_else(|| {
-            // lint: allow(P002) -- documented # Panics contract; the binary validates --scenario up front
+            // lint: allow(P002) -- documented # Panics contract; the catalogue validates the preset up front
             panic!(
                 "unknown dynamic scenario '{scenario}' (catalogue: {})",
                 DYNAMIC_SCENARIOS.join(", ")

@@ -1,7 +1,7 @@
 //! The parallel multi-trial experiment engine.
 //!
 //! The paper's headline results are *distributions* over many seeds and
-//! interference scenarios, so every experiment binary drives its scenario
+//! interference scenarios, so every experiment drives its scenario
 //! through this engine instead of a hand-rolled single-trial loop:
 //!
 //! 1. Describe the scenario space as a [`ScenarioGrid`] — one [`GridCell`]
@@ -94,8 +94,8 @@ pub struct ScenarioGrid {
     cells: Vec<GridCell>,
 }
 
-/// Execution options of a grid run, normally parsed from the command line
-/// via [`HarnessCli`].
+/// Execution options of a grid run, normally resolved from a catalogue
+/// request ([`crate::catalogue::Resolved::run_options`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOptions {
     /// Trials per cell (each with its own derived seed).
@@ -180,210 +180,121 @@ impl ScenarioGrid {
     }
 }
 
-/// The command-line options shared by every experiment binary — the **one
-/// CLI surface** of the `exp_*` family.
+/// The command line of the `exp` binary — the **one CLI surface** of the
+/// scenario catalogue, with the same grid names and flags as
+/// `dimmer-cli submit`:
 ///
-/// All `exp_*` binaries accept `--protocols a,b,c`, `--trials N`,
-/// `--threads N`, `--seed S`, `--json PATH` and `--quick` in addition to
-/// their binary-specific flags. Protocol names resolve against the
-/// registry in `dimmer-baselines` (see
-/// [`select_protocols`](Self::select_protocols)). Binary-specific flags go
-/// through the same parsed argument list via [`value`](Self::value) /
-/// [`has`](Self::has), so no binary touches `std::env::args` directly.
+/// ```text
+/// exp --grid NAME [--quick] [--trials N] [--threads N] [--seed S]
+///     [--protocols a,b,c] [--json PATH] [--envs N]
+/// ```
+///
+/// Absent values stay `None` so the catalogue fills in the grid's own
+/// defaults (see [`crate::catalogue::resolve`]); parsing only checks the
+/// shape of the arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarnessCli {
-    /// Trials per cell (`--trials`); `None` if the flag was absent so the
-    /// binary can pick its legacy default.
-    pub trials: Option<usize>,
-    /// Worker threads (`--threads`); defaults to the host's available
-    /// parallelism.
-    pub threads: usize,
-    /// Base seed (`--seed`).
-    pub seed: u64,
-    /// Optional JSON report path (`--json`).
-    pub json: Option<std::path::PathBuf>,
+    /// Catalogue grid name (`--grid`), e.g. `fig5` or `dynamics:link-fade`.
+    pub grid: String,
     /// Whether `--quick` was passed (roughly 10x shorter runs).
     pub quick: bool,
-    /// Comma-separated registry protocol names (`--protocols`); `None` if
-    /// the flag was absent so the binary runs its default set.
+    /// Trials per cell (`--trials`).
+    pub trials: Option<usize>,
+    /// Worker threads (`--threads`); defaults to the host's available
+    /// parallelism. Only affects wall-clock time.
+    pub threads: usize,
+    /// Base seed (`--seed`).
+    pub seed: Option<u64>,
+    /// Comma-separated registry protocol names (`--protocols`).
     pub protocols: Option<Vec<String>>,
-    /// The raw argument list (binary name excluded), backing
-    /// [`value`](Self::value) / [`has`](Self::has) lookups of
-    /// binary-specific flags.
-    args: Vec<String>,
+    /// Optional JSON report path (`--json`).
+    pub json: Option<std::path::PathBuf>,
+    /// Lockstep training environments of `train:*` grids (`--envs`); only
+    /// affects wall-clock time.
+    pub envs: usize,
 }
 
 impl HarnessCli {
-    /// Parses the shared flags from `std::env::args`, using `default_seed`
-    /// when `--seed` is absent.
-    ///
-    /// Exits the process with status 2 on malformed numeric flags or a
-    /// value flag with no value, matching the binaries' existing error
-    /// style.
-    pub fn parse(default_seed: u64) -> HarnessCli {
+    /// Parses `std::env::args`, exiting the process with status 2 on
+    /// malformed input.
+    pub fn parse() -> HarnessCli {
         // lint: allow(D003) -- the one sanctioned ambient read: the CLI entry point; every flag is threaded explicitly from here
-        Self::parse_from(std::env::args().skip(1).collect(), default_seed)
-    }
-
-    /// The one flag-value lookup both the constructor and
-    /// [`value`](Self::value) share: the argument following `--flag`.
-    ///
-    /// A successor that is itself a `--flag` does not count as a value, so
-    /// `--json --quick` reads as "`--json` missing its value", not as a
-    /// report written to a file literally named `--quick`.
-    fn lookup(args: &[String], flag: &str) -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-    }
-
-    /// [`parse`](Self::parse) over an explicit argument list (testable
-    /// form; `args` excludes the binary name). Exits the process with
-    /// status 2 on malformed input, like [`parse`](Self::parse).
-    pub fn parse_from(args: Vec<String>, default_seed: u64) -> HarnessCli {
-        Self::parse_from_checked(args, default_seed).unwrap_or_else(|e| {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse_from(&args).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
         })
     }
 
-    /// [`parse_from`](Self::parse_from) that reports malformed input as an
-    /// error instead of exiting — the form non-CLI callers (the `dimmerd`
-    /// daemon, tests) use so malformed requests fail loudly without
-    /// killing the host process.
+    /// Parses an explicit argument list (binary name excluded).
     ///
-    /// Rejects, among others, **duplicate occurrences of the same flag**:
-    /// `--seed 1 --seed 2` used to silently resolve to the first
-    /// occurrence, which hid client mistakes; now every repeated `--flag`
-    /// (shared or binary-specific) is an error.
-    pub fn parse_from_checked(args: Vec<String>, default_seed: u64) -> Result<HarnessCli, String> {
-        for (i, a) in args.iter().enumerate() {
-            if a.starts_with("--") && args[..i].contains(a) {
-                return Err(format!("{a} passed more than once"));
-            }
-        }
-        let value = |flag: &str| Self::lookup(&args, flag);
-        for flag in ["--trials", "--threads", "--seed", "--json", "--protocols"] {
-            if args.iter().any(|a| a == flag) && value(flag).is_none() {
-                return Err(format!("{flag} expects a value"));
-            }
-        }
-        let parse_num = |flag: &str| -> Result<Option<u64>, String> {
-            value(flag)
-                .map(|v| {
-                    v.parse()
-                        .map_err(|_| format!("{flag} expects a non-negative integer, got '{v}'"))
-                })
-                .transpose()
+    /// Rejects unknown flags, positional arguments, a value flag without a
+    /// value (a successor that is itself a `--flag` does not count, so
+    /// `--json --quick` is not a report written to a file named `--quick`),
+    /// malformed numbers, and any flag passed more than once.
+    pub fn parse_from(args: &[String]) -> Result<HarnessCli, String> {
+        let mut cli = HarnessCli {
+            grid: String::new(),
+            quick: false,
+            trials: None,
+            threads: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+            seed: None,
+            protocols: None,
+            json: None,
+            envs: crate::catalogue::DEFAULT_ENVS,
         };
-        let trials = parse_num("--trials")?
-            .map(|t| {
-                if t == 0 {
-                    return Err("--trials must be at least 1".to_string());
+        let mut args = args.iter().peekable();
+        let mut seen: Vec<&str> = Vec::new();
+        while let Some(flag) = args.next() {
+            if seen.contains(&flag.as_str()) {
+                return Err(format!("{flag} passed more than once"));
+            }
+            seen.push(flag);
+            if flag == "--quick" {
+                cli.quick = true;
+                continue;
+            }
+            const VALUE_FLAGS: [&str; 7] = [
+                "--grid",
+                "--trials",
+                "--threads",
+                "--seed",
+                "--protocols",
+                "--json",
+                "--envs",
+            ];
+            if !VALUE_FLAGS.contains(&flag.as_str()) {
+                return Err(format!(
+                    "unexpected argument '{flag}' (flags: --quick, {})",
+                    VALUE_FLAGS.join(", ")
+                ));
+            }
+            let value = args
+                .next_if(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{flag} expects a value"))?;
+            let number = || -> Result<u64, String> {
+                value
+                    .parse()
+                    .map_err(|_| format!("{flag} expects a non-negative integer, got '{value}'"))
+            };
+            match flag.as_str() {
+                "--grid" => cli.grid = value.clone(),
+                "--trials" => cli.trials = Some(number()? as usize),
+                "--threads" => cli.threads = (number()? as usize).max(1),
+                "--seed" => cli.seed = Some(number()?),
+                "--envs" => cli.envs = (number()? as usize).max(1),
+                "--protocols" => {
+                    cli.protocols = Some(value.split(',').map(|p| p.trim().to_string()).collect())
                 }
-                Ok(t as usize)
-            })
-            .transpose()?;
-        let threads = parse_num("--threads")?
-            .map(|t| (t as usize).max(1))
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        let protocols = value("--protocols")
-            .map(|v| {
-                let list: Vec<String> = v
-                    .split(',')
-                    .map(|p| p.trim().to_string())
-                    .filter(|p| !p.is_empty())
-                    .collect();
-                if list.is_empty() {
-                    return Err("--protocols expects a comma-separated list of names".to_string());
-                }
-                Ok(list)
-            })
-            .transpose()?;
-        Ok(HarnessCli {
-            trials,
-            threads,
-            seed: parse_num("--seed")?.unwrap_or(default_seed),
-            json: value("--json").map(std::path::PathBuf::from),
-            quick: args.iter().any(|a| a == "--quick"),
-            protocols,
-            args,
-        })
-    }
-
-    /// The value following a binary-specific `--flag`, if present (e.g.
-    /// `--part` of `exp_fig4b`, `--scenario` of `exp_dynamics`).
-    pub fn value(&self, flag: &str) -> Option<String> {
-        Self::lookup(&self.args, flag)
-    }
-
-    /// Like [`value`](Self::value), but a `--flag` passed *without* a value
-    /// exits the process with status 2 instead of quietly reading as
-    /// absent; a flag not passed at all still yields `None` so the binary
-    /// can apply its default.
-    pub fn value_required(&self, flag: &str) -> Option<String> {
-        let v = self.value(flag);
-        if v.is_none() && self.has(flag) {
-            eprintln!("error: {flag} expects a value");
-            std::process::exit(2);
-        }
-        v
-    }
-
-    /// Whether a bare `--flag` was passed.
-    pub fn has(&self, flag: &str) -> bool {
-        self.args.iter().any(|a| a == flag)
-    }
-
-    /// Resolves the `--protocols` selection against the registry and the
-    /// binary's `supported` subset, returning `supported` in order when the
-    /// flag was absent.
-    ///
-    /// Exits the process with status 2 on names the registry does not know
-    /// or the experiment cannot run, matching the binaries' existing error
-    /// style.
-    pub fn select_protocols(&self, supported: &[&str]) -> Vec<String> {
-        let Some(requested) = &self.protocols else {
-            return supported.iter().map(|p| p.to_string()).collect();
-        };
-        let registry = dimmer_baselines::ProtocolRegistry::standard();
-        for (i, name) in requested.iter().enumerate() {
-            if !registry.contains(name) {
-                eprintln!(
-                    "error: unknown protocol '{name}' (registry: {})",
-                    registry.names().join(", ")
-                );
-                std::process::exit(2);
-            }
-            if !supported.contains(&name.as_str()) {
-                eprintln!(
-                    "error: this experiment does not support protocol '{name}' (supported: {})",
-                    supported.join(", ")
-                );
-                std::process::exit(2);
-            }
-            if requested[..i].contains(name) {
-                eprintln!("error: protocol '{name}' listed more than once in --protocols");
-                std::process::exit(2);
+                _ => cli.json = Some(std::path::PathBuf::from(value)),
             }
         }
-        requested.clone()
-    }
-
-    /// Builds [`RunOptions`] from the parsed flags, substituting
-    /// `default_trials` when `--trials` was absent.
-    pub fn run_options(&self, default_trials: usize) -> RunOptions {
-        RunOptions {
-            trials: self.trials.unwrap_or(default_trials.max(1)),
-            threads: self.threads,
-            seed: self.seed,
+        if cli.grid.is_empty() {
+            return Err("--grid NAME is required".to_string());
         }
+        Ok(cli)
     }
 
     /// Writes `report` to the `--json` path if one was given, printing the
@@ -489,82 +400,69 @@ mod tests {
         });
     }
 
-    fn cli(args: &[&str]) -> HarnessCli {
-        HarnessCli::parse_from(args.iter().map(|a| a.to_string()).collect(), 77)
+    fn cli(args: &[&str]) -> Result<HarnessCli, String> {
+        HarnessCli::parse_from(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
 
     #[test]
-    fn parse_from_reads_shared_and_binary_specific_flags() {
+    fn parse_from_reads_every_flag() {
         let c = cli(&[
+            "--grid",
+            "dynamics:churn-storm",
             "--trials",
             "4",
             "--threads",
             "2",
             "--quick",
             "--protocols",
-            "static,pid",
-            "--scenario",
-            "churn-storm",
+            "static, pid",
+            "--seed",
+            "5",
+            "--envs",
+            "8",
             "--json",
             "out.json",
-        ]);
+        ])
+        .unwrap();
+        assert_eq!(c.grid, "dynamics:churn-storm");
         assert_eq!(c.trials, Some(4));
         assert_eq!(c.threads, 2);
-        assert_eq!(c.seed, 77, "default seed applies");
+        assert_eq!(c.seed, Some(5));
+        assert_eq!(c.envs, 8);
         assert!(c.quick);
         assert_eq!(
             c.protocols,
             Some(vec!["static".to_string(), "pid".to_string()])
         );
-        assert_eq!(c.value("--scenario").as_deref(), Some("churn-storm"));
-        assert_eq!(c.value("--part"), None);
-        assert!(c.has("--quick"));
-        assert!(!c.has("--part"));
         assert_eq!(c.json.as_deref(), Some(std::path::Path::new("out.json")));
     }
 
     #[test]
-    fn flag_successor_is_not_a_value() {
-        // `--json --quick` must not treat `--quick` as the report path.
-        let c = cli(&["--scenario", "--quick"]);
-        assert_eq!(c.value("--scenario"), None);
-        assert!(c.has("--quick"));
-    }
-
-    #[test]
-    fn duplicate_flags_are_rejected() {
-        let checked = |args: &[&str]| {
-            HarnessCli::parse_from_checked(args.iter().map(|a| a.to_string()).collect(), 77)
-        };
-        // Shared value flag repeated: used to silently resolve to the
-        // first occurrence.
-        let err = checked(&["--seed", "1", "--seed", "2"]).unwrap_err();
-        assert!(err.contains("--seed"), "{err}");
-        assert!(err.contains("more than once"), "{err}");
-        // Binary-specific value flag repeated.
-        assert!(checked(&["--part", "nodes", "--part", "history"]).is_err());
-        // Repeated bare flags are duplicates too.
-        assert!(checked(&["--quick", "--quick"]).is_err());
-        // Distinct flags — including a value that is not a flag — are fine.
-        let ok = checked(&["--seed", "1", "--trials", "2", "--part", "nodes"]).unwrap();
-        assert_eq!(ok.seed, 1);
-        assert_eq!(ok.trials, Some(2));
-        // Malformed numerics surface as errors, not exits.
-        assert!(checked(&["--trials", "zero"]).is_err());
-        assert!(checked(&["--trials", "0"]).is_err());
-        assert!(checked(&["--json"]).is_err());
-    }
-
-    #[test]
-    fn parse_from_defaults_without_flags() {
-        let c = cli(&[]);
-        assert_eq!(c.trials, None);
+    fn parse_from_leaves_defaults_to_the_catalogue() {
+        let c = cli(&["--grid", "fig5"]).unwrap();
+        assert_eq!(
+            (c.trials, c.seed, c.protocols, c.json),
+            (None, None, None, None)
+        );
         assert!(!c.quick);
-        assert_eq!(c.protocols, None);
-        assert_eq!(c.seed, 77);
         assert!(c.threads >= 1);
-        assert_eq!(c.run_options(3).trials, 3);
-        assert_eq!(cli(&["--seed", "5"]).seed, 5);
+        assert_eq!(c.envs, crate::catalogue::DEFAULT_ENVS);
+    }
+
+    #[test]
+    fn malformed_command_lines_are_rejected() {
+        let err = |args: &[&str]| cli(args).unwrap_err();
+        // A repeated flag is an error, not a silent first-wins.
+        let e = err(&["--grid", "fig5", "--seed", "1", "--seed", "2"]);
+        assert!(e.contains("--seed") && e.contains("more than once"), "{e}");
+        assert!(err(&["--grid", "fig5", "--quick", "--quick"]).contains("more than once"));
+        // `--json --quick` must not treat `--quick` as the report path.
+        assert!(err(&["--grid", "fig5", "--json", "--quick"]).contains("expects a value"));
+        assert!(err(&["--grid", "fig5", "--trials", "zero"]).contains("non-negative integer"));
+        // There are no per-figure flags: the grid name carries the preset.
+        assert!(err(&["--grid", "dynamics", "--scenario", "x"]).contains("unexpected argument"));
+        assert!(err(&["--grid", "fig5", "stray"]).contains("unexpected argument"));
+        assert!(err(&["--quick"]).contains("--grid NAME is required"));
     }
 
     #[test]

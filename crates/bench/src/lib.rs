@@ -1,33 +1,34 @@
 //! # dimmer-bench — the experiment engine
 //!
-//! One binary per table/figure of the paper's evaluation, plus a sweep
-//! driver for scenario grids that have no figure counterpart (see the crate
-//! map and the reproduction guide in the repository-root `README.md` and
+//! Every table, figure and sweep of the evaluation is one entry of the
+//! scenario [`catalogue`], run by the single `exp` binary (see the
+//! reproduction guide in the repository-root `README.md` and
 //! `ARCHITECTURE.md`):
 //!
-//! | Binary        | Reproduces                                              |
-//! |---------------|---------------------------------------------------------|
-//! | `exp_table1`  | Table I + the embedded-DQN footprint numbers (§IV-B)    |
-//! | `exp_fig4b`   | Fig. 4b — input-feature selection (K and history sweep) |
-//! | `exp_fig4c`   | Fig. 4c/4d — adaptivity against dynamic interference    |
-//! | `exp_fig5`    | Fig. 5a/5b — reliability & radio-on vs interference     |
-//! | `exp_fig6`    | Fig. 6 — forwarder selection with multi-armed bandits   |
-//! | `exp_fig7`    | Fig. 7 — 48-node D-Cube comparison vs LWB and Crystal   |
-//! | `exp_sweep`   | Grid presets beyond the paper (seed & topology sweeps)  |
+//! | Grid                | Reproduces                                              |
+//! |---------------------|---------------------------------------------------------|
+//! | `table1`            | Table I + the embedded-DQN footprint numbers (§IV-B)    |
+//! | `fig4b:<part>`      | Fig. 4b — input-feature selection (K and history sweep) |
+//! | `fig4c`             | Fig. 4c/4d — adaptivity against dynamic interference    |
+//! | `fig5`              | Fig. 5a/5b — reliability & radio-on vs interference     |
+//! | `fig6`              | Fig. 6 — forwarder selection with multi-armed bandits   |
+//! | `fig7`              | Fig. 7 — 48-node D-Cube comparison vs LWB and Crystal   |
+//! | `fig5-seeds`, ...   | Sweeps beyond the paper (seeds, topology size, city)    |
 //!
-//! Every binary accepts `--protocols a,b,c --trials N --threads N --seed S
-//! --json PATH` in addition to `--quick`: protocol names resolve against
-//! the registry in `dimmer-baselines` (`"dimmer-dqn"`, `"dimmer-rule"`,
-//! `"pid"`, `"static"`, `"crystal"`), trials of each scenario cell are
-//! fanned out across worker threads by the [`harness`] module, per-trial
-//! seeds are derived deterministically (reports are bit-identical
-//! regardless of `--threads`), and [`report`] aggregates mean / stddev /
-//! 95 % CI per metric with optional machine-readable JSON output.
+//! `exp --grid NAME` accepts `--protocols a,b,c --trials N --threads N
+//! --seed S --json PATH` in addition to `--quick`: protocol names resolve
+//! against the registry in `dimmer-baselines` (`"dimmer-dqn"`,
+//! `"dimmer-rule"`, `"pid"`, `"static"`, `"crystal"`), trials of each
+//! scenario cell are fanned out across worker threads by the [`harness`]
+//! module, per-trial seeds are derived deterministically (reports are
+//! bit-identical regardless of `--threads`), and [`report`] aggregates
+//! mean / stddev / 95 % CI per metric with optional machine-readable JSON
+//! output.
 //!
 //! The library layers, bottom up:
 //!
-//! * [`scenarios`] — interference/topology scenario builders and tiny CLI
-//!   helpers shared by the binaries,
+//! * [`scenarios`] — interference/topology and dynamic-world scenario
+//!   builders shared by the experiments,
 //! * [`summary`] — the report-aggregation helpers every figure runner and
 //!   grid shares (run summaries, harness metrics, timeline buckets),
 //! * [`experiments`] — the testable per-figure experiment cores and their
@@ -36,7 +37,10 @@
 //! * [`scheduler`] — the reusable trial scheduler (worker pool, stateless
 //!   per-trial seeding, deterministic report assembly) shared by the
 //!   harness and the `dimmerd` daemon,
-//! * [`harness`] — the parallel multi-trial engine,
+//! * [`harness`] — the parallel multi-trial engine and the `exp` command
+//!   line,
+//! * [`catalogue`] — every grid's name, defaults and builder, shared by
+//!   `exp` and the `dimmerd` daemon,
 //! * [`report`] — statistics aggregation, table printing and JSON,
 //!
 //! plus the Criterion micro-benchmarks in `benches/micro.rs`.
@@ -44,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod catalogue;
 pub mod experiments;
 pub mod harness;
 pub mod report;

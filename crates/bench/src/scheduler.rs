@@ -5,7 +5,7 @@
 //! [`ScenarioGrid::run`](crate::harness::ScenarioGrid::run), extracted so
 //! every consumer of the experiment engine shares one scheduler:
 //!
-//! * the `exp_*` binaries (via [`ScenarioGrid::run`](crate::harness::ScenarioGrid::run), now a thin wrapper),
+//! * the `exp` binary (via [`ScenarioGrid::run`](crate::harness::ScenarioGrid::run), now a thin wrapper),
 //! * the `dimmerd` simulation daemon (which runs submitted grids through
 //!   the same plan → fan-out → assemble pipeline), and
 //! * CI jobs, whose byte-for-byte determinism checks therefore cover the

@@ -8,8 +8,7 @@
 //! * [`summary_metrics`] — convert a summary into the harness's
 //!   [`TrialMetrics`] (adding the derived per-packet latency),
 //! * [`bucketize`] — fold a run into fixed-size buckets of consecutive
-//!   rounds (the per-minute timelines the `exp_fig4c`/`exp_fig6` binaries
-//!   print).
+//!   rounds (the per-minute timelines `exp` prints for `fig4c`/`fig6`).
 
 use crate::harness::TrialMetrics;
 use dimmer_core::DimmerRoundReport;
@@ -101,7 +100,7 @@ pub fn summary_metrics(s: &ProtocolSummary, round_period_ms: f64) -> TrialMetric
 }
 
 /// Mean metrics of one bucket of consecutive rounds (a row of the timeline
-/// tables printed by `exp_fig4c` and `exp_fig6`).
+/// tables `exp` prints for `fig4c` and `fig6`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimelineBucket {
     /// Index of the bucket's first round.

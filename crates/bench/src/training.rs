@@ -1,11 +1,11 @@
-//! In-sim policy training for the zoo families (`exp_train`).
+//! In-sim policy training for the zoo families (the `train:<family>` grids).
 //!
 //! This module is the bench-side face of the training farm
 //! (`dimmer_rl::farm`): it maps each zoo *family* name
 //! ([`dimmer_core::zoo::ZOO_FAMILIES`]) to its training world — topology,
 //! interference and dynamic-world script — trains a DQN against the real
 //! simulator through [`SimEnvironment`], and wraps the run as a
-//! [`ScenarioGrid`] so `exp_train` reports training curves through the same
+//! [`ScenarioGrid`] so `exp --grid train:<family>` reports training curves through the same
 //! deterministic scheduler as every other experiment.
 //!
 //! The environment-count knob (`--envs`) is deliberately **absent** from
@@ -24,7 +24,7 @@ use dimmer_rl::farm::{train_farm, FarmConfig, FarmRun};
 use dimmer_rl::DqnConfig;
 use dimmer_sim::{InterferenceModel, NoInterference, ScenarioScript, Topology};
 
-/// The zoo family names, re-exported so the binary and the daemon validate
+/// The zoo family names, re-exported so the scenario catalogue validates
 /// against the same catalogue as the runtime zoo.
 pub use dimmer_core::zoo::ZOO_FAMILIES as TRAIN_FAMILIES;
 
@@ -53,7 +53,7 @@ pub struct FamilySetup {
 ///
 /// * `calm` — no interference, static world;
 /// * `jammed` — the testbed's two-jammer pair at 30 % duty;
-/// * `churn-storm` / `roaming-jammer` — the matching `exp_dynamics`
+/// * `churn-storm` / `roaming-jammer` — the matching `dynamics:*`
 ///   presets, scaled to one episode.
 pub fn family_setup(family: &str, episode_rounds: usize, topo: &Topology) -> Option<FamilySetup> {
     match family {
@@ -105,13 +105,13 @@ pub fn train_family(family: &str, quick: bool, envs: usize, seed: u64) -> Option
     Some(train_farm(&factory, train_dqn_config(quick), &farm, seed))
 }
 
-/// The `exp_train` grid: one cell training the `family` policy, reporting
+/// The `train:<family>` grid: one cell training the `family` policy, reporting
 /// the training curve (`eval@<transitions>` / `loss@<transitions>`) plus
 /// `final_eval`, `episodes` and `transitions` as metrics.
 ///
 /// # Panics
 ///
-/// Panics on unknown family names (the binary and the daemon validate
+/// Panics on unknown family names (the catalogue validates them
 /// first) — inside the cell closure, i.e. when the grid runs.
 pub fn train_grid(family: &str, quick: bool, envs: usize) -> ScenarioGrid {
     let mut grid = ScenarioGrid::new("train");
@@ -125,7 +125,7 @@ pub fn train_grid(family: &str, quick: bool, envs: usize) -> ScenarioGrid {
         ],
         move |seed| {
             let run = train_family(&family, quick, envs, seed)
-                // lint: allow(P002) -- documented # Panics contract; exp_train and dimmerd validate the family first
+                // lint: allow(P002) -- documented # Panics contract; the catalogue validates the family first
                 .unwrap_or_else(|| panic!("unknown training family '{family}'"));
             let mut metrics = TrialMetrics::new()
                 .with("final_eval", run.final_eval())

@@ -9,10 +9,13 @@
 //! dimmer-cli [--addr HOST:PORT] shutdown
 //! ```
 //!
-//! `submit --wait` polls `status` until the job settles, then prints the
-//! *unescaped* report JSON to stdout — the exact bytes the matching
-//! `exp_*` binary writes through `--json`. Every other command prints the
-//! daemon's reply line verbatim.
+//! `submit` takes the same grid names and flags as the `exp` binary
+//! (`--grid fig5`, `--grid dynamics:churn-storm`, ...; see
+//! `dimmer_bench::catalogue`). `submit --wait` polls `status` until the
+//! job settles, then prints the *unescaped* report JSON to stdout — the
+//! exact bytes `exp --grid NAME --json PATH` writes for the same grid,
+//! seed and trials. Every other command prints the daemon's reply line
+//! verbatim.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -32,10 +35,9 @@ fn exchange(addr: &str, request: &str) -> Json {
     let mut writer = stream
         .try_clone()
         .unwrap_or_else(|e| fail(&format!("connection failed: {e}")));
+    // One write per line, so Nagle's algorithm never holds a tail back.
     writer
-        .write_all(request.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
+        .write_all(format!("{request}\n").as_bytes())
         .unwrap_or_else(|e| fail(&format!("cannot send request: {e}")));
     let mut line = String::new();
     BufReader::new(stream)
@@ -174,7 +176,8 @@ fn main() {
             let report = reply_field(&result, "report")
                 .as_str()
                 .unwrap_or_else(|| fail("result reply carries no report"));
-            println!("{report}");
+            // The report ends with its own newline.
+            print!("{report}");
         }
         "status" | "result" => {
             let job = job.unwrap_or_else(|| fail(&format!("{command} needs --job N")));

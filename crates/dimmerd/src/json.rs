@@ -135,12 +135,19 @@ pub fn escape_into(s: &str, out: &mut String) {
     }
 }
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so an unbounded depth lets one request line overflow the stack
+/// and abort the whole daemon; no protocol message nests beyond three.
+const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON value; the input must hold nothing but the value and
-/// surrounding whitespace.
+/// surrounding whitespace. Values nested deeper than 64 levels are
+/// rejected.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -154,6 +161,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 /// Compact, deterministic (no whitespace) serialization.
@@ -204,8 +213,22 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let nested = if b == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(format!("unexpected '{}' at offset {}", b as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
@@ -429,6 +452,24 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should be rejected");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1))
+            .unwrap_err()
+            .contains("nesting deeper"));
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).unwrap_err().contains("nesting deeper"));
+        // Far past the limit the error comes back instead of a stack
+        // overflow.
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

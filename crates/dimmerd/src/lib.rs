@@ -4,11 +4,12 @@
 //! a newline-delimited JSON TCP protocol, reusing everything expensive
 //! across requests:
 //!
-//! * **one scheduler** — submitted scenarios run through the same
+//! * **one catalogue, one scheduler** — submitted scenarios name a grid of
+//!   `dimmer-bench::catalogue` and run through the same
 //!   `dimmer-bench::scheduler` pipeline (stateless per-trial seeding,
 //!   order-independent worker fan-out, deterministic report assembly) as
-//!   the `exp_*` binaries, so a served report is byte-identical to the
-//!   same scenario's offline `--json` output;
+//!   the `exp` binary, so a served report is byte-identical to the same
+//!   grid's offline `exp --json` output;
 //! * **a warm world cache** — compiled CSR topologies and their compiled
 //!   interference banks are built once and cloned per trial
 //!   ([`cache::WorldCache`]);
@@ -22,7 +23,7 @@
 //! every `stats` counter) is a pure function of the request sequence.
 //!
 //! Layers: [`json`] (the minimal parser/serializer), [`proto`] (wire
-//! commands), [`scenario`] (canonical specs and grid mapping), [`cache`]
+//! commands), [`scenario`] (canonical specs over the catalogue), [`cache`]
 //! (warm worlds + memoized results), [`service`] (queue and executor),
 //! [`server`] (TCP framing). The `dimmerd` binary wires them together;
 //! `dimmer-cli` is the matching client.

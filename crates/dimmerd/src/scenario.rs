@@ -1,80 +1,40 @@
-//! Scenario specifications: the daemon's canonical description of one
-//! experiment grid, its hash, and the mapping onto `dimmer-bench` grid
-//! builders.
+//! Scenario specifications: the daemon's JSON face of one catalogue grid,
+//! its canonical form and its hash.
 //!
-//! A [`ScenarioSpec`] mirrors what the `exp_*` binaries accept on the
-//! command line — grid name, `--quick`, `--trials`, `--seed`,
-//! `--protocols` — with the binaries' own defaults, so a daemon-served
-//! report is the same report the matching binary writes through `--json`.
-//! Two specs that resolve to the same configuration (say, protocols left
-//! to default versus spelled out explicitly) canonicalize to the same
-//! string and therefore the same [`ScenarioSpec::hash`]; the memo cache is
-//! keyed by `(hash, seed)`.
+//! A [`ScenarioSpec`] carries what `exp` accepts on the command line —
+//! grid name, `--quick`, `--trials`, `--seed`, `--protocols` — and
+//! delegates defaults, validation and building to
+//! [`dimmer_bench::catalogue`], so a daemon-served report is the same
+//! report `exp --json` writes. Two specs that resolve to the same
+//! configuration (say, protocols left to default versus spelled out
+//! explicitly) canonicalize to the same string and therefore the same
+//! [`ScenarioSpec::hash`]; the memo cache is keyed by `(hash, seed)`.
 
-use dimmer_bench::experiments::{
-    city_scale_grid_from_worlds, dynamics_grid, fig5_grid, fig5_seed_sweep_grid, fig6_grid,
-    fig7_grid, table1_grid, topology_size_grid, DCUBE_PROTOCOLS, DYNAMICS_PROTOCOLS,
-    TESTBED_PROTOCOLS,
-};
+use std::sync::Arc;
+
+use dimmer_bench::catalogue::{self, Context, Resolved, DEFAULT_ENVS};
+use dimmer_bench::experiments::CityWorld;
 use dimmer_bench::harness::ScenarioGrid;
-use dimmer_bench::scenarios::{dimmer_policy, DYNAMIC_SCENARIOS};
-use dimmer_bench::training::{train_grid, TRAIN_FAMILIES};
-use dimmer_core::DimmerConfig;
 
 use crate::cache::WorldCache;
 use crate::json::Json;
-
-/// The grid names the daemon serves, in documentation order. Dynamic-world
-/// scenarios are requested as `dynamics:<preset>` with presets from
-/// [`DYNAMIC_SCENARIOS`]; in-sim training jobs as `train:<family>` with
-/// families from [`TRAIN_FAMILIES`] (served through the same scheduler and
-/// memo cache as every other grid, so a training curve is just another
-/// deterministic report).
-pub const GRIDS: &[&str] = &[
-    "table1",
-    "fig5",
-    "fig5-seeds",
-    "fig6",
-    "fig7",
-    "topology-size",
-    "dynamics:<preset>",
-    "train:<family>",
-    "city",
-];
-
-/// The Fig. 5 jamming duty-cycle sweep, as in `exp_fig5`.
-const FIG5_LEVELS: [f64; 8] = [0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35];
 
 /// One submitted scenario: which grid, at which scale, with which
 /// protocol selection and seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
-    /// Grid name (see [`GRIDS`]).
+    /// Catalogue grid name (`fig5`, `dynamics:churn-storm`, ...).
     pub grid: String,
-    /// Quick mode: the same reduced round counts as the binaries'
-    /// `--quick`.
+    /// Quick mode: the catalogue's reduced counts, as `exp --quick`.
     pub quick: bool,
-    /// Trials per cell; `None` uses the grid's binary default.
+    /// Trials per cell; `None` uses the grid's default.
     pub trials: Option<usize>,
-    /// Base seed; `None` uses the grid's binary default.
+    /// Base seed; `None` uses the grid's default.
     pub seed: Option<u64>,
     /// Protocol selection; `None` uses the grid's default set. Must be
     /// absent for grids that do not compare protocols.
     pub protocols: Option<Vec<String>>,
 }
-
-/// How one grid resolves defaults: its supported/default protocol sets
-/// (or `None` for grids without a protocol axis), default trials and
-/// default seed — all copied from the corresponding binary.
-struct GridInfo {
-    supported: Option<&'static [&'static str]>,
-    default_protocols: Option<&'static [&'static str]>,
-    default_trials: usize,
-    default_seed: u64,
-}
-
-const TOPOLOGY_SIZE_SUPPORTED: [&str; 3] = ["static", "dimmer-rule", "pid"];
-const TOPOLOGY_SIZE_DEFAULT: [&str; 2] = ["static", "dimmer-rule"];
 
 impl ScenarioSpec {
     /// Parses a spec from the request's `"spec"` object. Unknown fields
@@ -107,9 +67,6 @@ impl ScenarioSpec {
                     let n = value
                         .as_u64()
                         .ok_or_else(|| "spec.trials must be a non-negative integer".to_string())?;
-                    if n == 0 {
-                        return Err("spec.trials must be at least 1".to_string());
-                    }
                     spec.trials = Some(n as usize);
                 }
                 "seed" => {
@@ -140,156 +97,44 @@ impl ScenarioSpec {
         if spec.grid.is_empty() {
             return Err("spec needs a \"grid\" field".to_string());
         }
-        spec.validate()?;
+        spec.resolve()?;
         Ok(spec)
     }
 
-    fn info(&self) -> Result<GridInfo, String> {
-        let info = match self.grid.as_str() {
-            "table1" => GridInfo {
-                supported: None,
-                default_protocols: None,
-                default_trials: 1,
-                default_seed: 1,
-            },
-            "fig5" => GridInfo {
-                supported: Some(&TESTBED_PROTOCOLS),
-                default_protocols: Some(&TESTBED_PROTOCOLS),
-                default_trials: if self.quick { 1 } else { 3 },
-                default_seed: 100,
-            },
-            "fig5-seeds" => GridInfo {
-                supported: Some(&TESTBED_PROTOCOLS),
-                default_protocols: Some(&TESTBED_PROTOCOLS),
-                default_trials: 16,
-                default_seed: 500,
-            },
-            "fig6" => GridInfo {
-                supported: None,
-                default_protocols: None,
-                default_trials: 1,
-                default_seed: 3,
-            },
-            "fig7" => GridInfo {
-                supported: Some(&DCUBE_PROTOCOLS),
-                default_protocols: Some(&DCUBE_PROTOCOLS),
-                default_trials: if self.quick { 1 } else { 3 },
-                default_seed: 300,
-            },
-            "topology-size" => GridInfo {
-                supported: Some(&TOPOLOGY_SIZE_SUPPORTED),
-                default_protocols: Some(&TOPOLOGY_SIZE_DEFAULT),
-                default_trials: 8,
-                default_seed: 500,
-            },
-            "city" => GridInfo {
-                supported: None,
-                default_protocols: None,
-                default_trials: 4,
-                default_seed: 500,
-            },
-            other => match (
-                other.strip_prefix("dynamics:"),
-                other.strip_prefix("train:"),
-            ) {
-                (Some(preset), _) if DYNAMIC_SCENARIOS.contains(&preset) => GridInfo {
-                    supported: Some(&DYNAMICS_PROTOCOLS),
-                    default_protocols: Some(&DYNAMICS_PROTOCOLS),
-                    default_trials: 1,
-                    default_seed: 11,
-                },
-                (Some(preset), _) => {
-                    return Err(format!(
-                        "unknown dynamics preset '{preset}' (catalogue: {})",
-                        DYNAMIC_SCENARIOS.join(", ")
-                    ))
-                }
-                // Training grids have no protocol axis: the "protocol"
-                // under test is the policy being manufactured.
-                (None, Some(family)) if TRAIN_FAMILIES.contains(&family) => GridInfo {
-                    supported: None,
-                    default_protocols: None,
-                    default_trials: 1,
-                    default_seed: 42,
-                },
-                (None, Some(family)) => {
-                    return Err(format!(
-                        "unknown training family '{family}' (catalogue: {})",
-                        TRAIN_FAMILIES.join(", ")
-                    ))
-                }
-                (None, None) => {
-                    return Err(format!(
-                        "unknown grid '{other}' (grids: {})",
-                        GRIDS.join(", ")
-                    ))
-                }
-            },
-        };
-        Ok(info)
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        let info = self.info()?;
-        match (&self.protocols, info.supported) {
-            (Some(_), None) => Err(format!(
-                "grid '{}' has no protocol axis; omit spec.protocols",
-                self.grid
-            )),
-            (Some(requested), Some(supported)) => {
-                if requested.is_empty() {
-                    return Err("spec.protocols must not be empty".to_string());
-                }
-                for name in requested {
-                    if !supported.contains(&name.as_str()) {
-                        return Err(format!(
-                            "protocol '{name}' is not supported by grid '{}' (supported: {})",
-                            self.grid,
-                            supported.join(", ")
-                        ));
-                    }
-                }
-                Ok(())
-            }
-            (None, _) => Ok(()),
-        }
+    /// The spec resolved against the scenario catalogue.
+    pub(crate) fn resolve(&self) -> Result<Resolved, String> {
+        catalogue::resolve(
+            &self.grid,
+            self.quick,
+            self.trials,
+            self.seed,
+            self.protocols.as_deref(),
+        )
     }
 
     /// The resolved trials-per-cell count.
     pub fn trials(&self) -> Result<usize, String> {
-        Ok(self.trials.unwrap_or(self.info()?.default_trials))
+        Ok(self.resolve()?.trials)
     }
 
     /// The resolved base seed (the second half of the memo key).
     pub fn resolved_seed(&self) -> Result<u64, String> {
-        Ok(self.seed.unwrap_or(self.info()?.default_seed))
-    }
-
-    /// The resolved protocol list, or `None` for grids without a protocol
-    /// axis.
-    fn resolved_protocols(&self) -> Result<Option<Vec<String>>, String> {
-        let info = self.info()?;
-        Ok(match (&self.protocols, info.default_protocols) {
-            (Some(p), _) => Some(p.clone()),
-            (None, Some(d)) => Some(d.iter().map(|s| s.to_string()).collect()),
-            (None, None) => None,
-        })
+        Ok(self.resolve()?.seed)
     }
 
     /// The canonical form: every default resolved, deterministic field
     /// order. Equivalent specs produce identical strings — this is what
     /// [`hash`](Self::hash) digests and what makes memoization safe.
     pub fn canonical(&self) -> Result<String, String> {
-        let protocols = match self.resolved_protocols()? {
-            Some(p) => p.join(","),
-            None => "-".to_string(),
+        let r = self.resolve()?;
+        let protocols = if r.protocols.is_empty() {
+            "-".to_string()
+        } else {
+            r.protocols.join(",")
         };
         Ok(format!(
             "grid={};quick={};trials={};protocols={}",
-            self.grid,
-            self.quick,
-            self.trials()?,
-            protocols
+            r.name, r.quick, r.trials, protocols
         ))
     }
 
@@ -306,52 +151,22 @@ impl ScenarioSpec {
     }
 
     /// Builds the scenario's grid, resolving city worlds through the warm
-    /// cache. Round counts follow the binaries' `--quick` switch exactly.
+    /// cache.
     pub fn build(&self, worlds: &mut WorldCache) -> Result<ScenarioGrid, String> {
-        let protocols = self.resolved_protocols()?;
-        let protocols = protocols.as_deref().unwrap_or(&[]);
-        let quick = self.quick;
-        let grid = match self.grid.as_str() {
-            "table1" => table1_grid(&DimmerConfig::default()),
-            "fig5" => {
-                let rounds = if quick { 60 } else { 200 };
-                fig5_grid(dimmer_policy(quick), rounds, &FIG5_LEVELS, protocols)
-            }
-            "fig5-seeds" => {
-                let rounds = if quick { 40 } else { 120 };
-                fig5_seed_sweep_grid(dimmer_policy(quick), rounds, protocols)
-            }
-            "fig6" => {
-                let rounds = if quick { 900 } else { 4500 };
-                fig6_grid(rounds, None)
-            }
-            "fig7" => {
-                let rounds = if quick { 200 } else { 600 };
-                fig7_grid(dimmer_policy(quick), rounds, protocols)
-            }
-            "topology-size" => {
-                let rounds = if quick { 40 } else { 120 };
-                topology_size_grid(rounds, &[3, 4, 5, 6], protocols)
-            }
-            "city" => {
-                let floods = if quick { 8 } else { 24 };
-                city_scale_grid_from_worlds(floods, worlds.city())
-            }
-            other => match (
-                other.strip_prefix("dynamics:"),
-                other.strip_prefix("train:"),
-            ) {
-                (Some(preset), _) => {
-                    let rounds = if quick { 60 } else { 200 };
-                    dynamics_grid(dimmer_policy(quick), rounds, preset, protocols, None)
-                }
-                // `envs = 4` mirrors `exp_train`'s default; the farm's
-                // env-count invariance makes the value cosmetic anyway.
-                (None, Some(family)) => train_grid(family, quick, 4),
-                (None, None) => return Err(format!("unknown grid '{other}'")),
-            },
-        };
-        Ok(grid)
+        self.build_with(&mut || worlds.city())
+    }
+
+    /// [`build`](Self::build) with city worlds from `city_worlds`, so the
+    /// executor can lock its cache only while fetching them.
+    pub(crate) fn build_with(
+        &self,
+        city_worlds: &mut dyn FnMut() -> Vec<Arc<CityWorld>>,
+    ) -> Result<ScenarioGrid, String> {
+        Ok(self.resolve()?.build(&mut Context {
+            batch_threads: 1,
+            envs: DEFAULT_ENVS,
+            city_worlds,
+        }))
     }
 
     /// Convenience: a quick spec for `grid` with every other field
@@ -365,16 +180,6 @@ impl ScenarioSpec {
             protocols: None,
         }
     }
-}
-
-/// The worlds resolved for one [`CityWorld`](dimmer_bench::experiments::CityWorld)
-/// request, with their compiled digests — exposed for observability tests.
-pub fn city_world_digests(worlds: &mut WorldCache) -> Vec<(String, u64)> {
-    worlds
-        .city()
-        .iter()
-        .map(|w| (w.label.to_string(), w.compiled().digest()))
-        .collect()
 }
 
 #[cfg(test)]
@@ -423,24 +228,36 @@ mod tests {
         }
     }
 
+    /// The canonical string of every grid the daemon served before it
+    /// read the catalogue, quick and full: the memo keys must not move.
     #[test]
-    fn binary_defaults_are_mirrored() {
-        let fig5 = spec(r#"{"grid":"fig5"}"#).unwrap();
-        assert_eq!(fig5.trials().unwrap(), 3);
-        assert_eq!(fig5.resolved_seed().unwrap(), 100);
-        let fig5_quick = spec(r#"{"grid":"fig5","quick":true}"#).unwrap();
-        assert_eq!(fig5_quick.trials().unwrap(), 1);
-        let sweep = spec(r#"{"grid":"fig5-seeds"}"#).unwrap();
-        assert_eq!(sweep.trials().unwrap(), 16);
-        assert_eq!(sweep.resolved_seed().unwrap(), 500);
-        let city = spec(r#"{"grid":"city"}"#).unwrap();
-        assert_eq!(city.trials().unwrap(), 4);
-        let dynamics = spec(r#"{"grid":"dynamics:churn-storm"}"#).unwrap();
-        assert_eq!(dynamics.resolved_seed().unwrap(), 11);
-        // `train:*` mirrors `exp_train`: seed 42, one trial.
-        let train = spec(r#"{"grid":"train:calm"}"#).unwrap();
-        assert_eq!(train.resolved_seed().unwrap(), 42);
-        assert_eq!(train.trials().unwrap(), 1);
+    fn canonical_strings_of_previously_served_grids_are_unchanged() {
+        let testbed = "static,dimmer-dqn,pid";
+        let dynamics = "static,dimmer-dqn,dimmer-rule,pid";
+        let mut expected: Vec<(String, [usize; 2], &str)> = vec![
+            ("table1".into(), [1, 1], "-"),
+            ("fig5".into(), [1, 3], testbed),
+            ("fig5-seeds".into(), [16, 16], testbed),
+            ("fig6".into(), [1, 1], "-"),
+            ("fig7".into(), [1, 3], "static,dimmer-dqn,crystal"),
+            ("topology-size".into(), [8, 8], "static,dimmer-rule"),
+            ("city".into(), [4, 4], "-"),
+        ];
+        for preset in ["churn-storm", "link-fade", "roaming-jammer", "flash-crowd"] {
+            expected.push((format!("dynamics:{preset}"), [1, 1], dynamics));
+        }
+        for family in ["calm", "jammed", "churn-storm", "roaming-jammer"] {
+            expected.push((format!("train:{family}"), [1, 1], "-"));
+        }
+        for (grid, trials, protocols) in expected {
+            for (quick, trials) in [(true, trials[0]), (false, trials[1])] {
+                let s = spec(&format!(r#"{{"grid":"{grid}","quick":{quick}}}"#)).unwrap();
+                assert_eq!(
+                    s.canonical().unwrap(),
+                    format!("grid={grid};quick={quick};trials={trials};protocols={protocols}")
+                );
+            }
+        }
     }
 
     #[test]
@@ -453,13 +270,16 @@ mod tests {
             .contains("unknown dynamics preset"));
         assert!(spec(r#"{"grid":"train:volcanic"}"#)
             .unwrap_err()
-            .contains("unknown training family"));
+            .contains("unknown train family"));
         assert!(spec(r#"{"grid":"train:calm","protocols":["static"]}"#)
             .unwrap_err()
             .contains("no protocol axis"));
         assert!(spec(r#"{"grid":"fig5","protocols":["crystal"]}"#)
             .unwrap_err()
             .contains("not supported"));
+        assert!(spec(r#"{"grid":"fig5","protocols":["pid","pid"]}"#)
+            .unwrap_err()
+            .contains("more than once"));
         assert!(spec(r#"{"grid":"city","protocols":["static"]}"#)
             .unwrap_err()
             .contains("no protocol axis"));
@@ -473,10 +293,21 @@ mod tests {
     }
 
     #[test]
-    fn every_supported_grid_builds() {
+    fn dynamics_grids_accept_the_zoo() {
+        let zoo = spec(r#"{"grid":"dynamics:roaming-jammer","protocols":["dimmer-zoo","pid"]}"#);
+        assert_eq!(
+            zoo.unwrap().canonical().unwrap(),
+            "grid=dynamics:roaming-jammer;quick=false;trials=1;protocols=dimmer-zoo,pid"
+        );
+    }
+
+    #[test]
+    fn every_catalogue_grid_builds() {
         let mut worlds = WorldCache::new();
         for grid in [
             "table1",
+            "fig4b:nodes",
+            "fig4c",
             "fig5",
             "fig5-seeds",
             "fig6",
@@ -486,6 +317,7 @@ mod tests {
             "train:calm",
             "train:roaming-jammer",
             "city",
+            "grid10k",
         ] {
             let s = ScenarioSpec::quick(grid);
             assert!(

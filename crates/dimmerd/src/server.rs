@@ -40,6 +40,11 @@ pub fn serve(daemon: &Daemon, listener: TcpListener) -> std::io::Result<()> {
 
 /// Reads request lines until EOF, answering each with one reply line.
 fn handle_connection(daemon: &Daemon, stream: TcpStream) {
+    // Replies are single small writes; without TCP_NODELAY a reply can wait
+    // on the client's delayed ACK.
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -57,13 +62,11 @@ fn handle_connection(daemon: &Daemon, stream: TcpStream) {
         if trimmed.is_empty() {
             continue;
         }
-        let (reply, _is_shutdown) = daemon.handle_line(trimmed);
-        if writer
-            .write_all(reply.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+        let (mut reply, _is_shutdown) = daemon.handle_line(trimmed);
+        // One write per reply line: a separate write of the newline is held
+        // back by Nagle's algorithm until the client ACKs the first one.
+        reply.push('\n');
+        if writer.write_all(reply.as_bytes()).is_err() {
             return;
         }
     }

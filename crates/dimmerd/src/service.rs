@@ -213,9 +213,9 @@ impl Daemon {
         if let Some(report) = self.lock().memo.get(hash, seed) {
             return Ok(report);
         }
-        // Resolve worlds under the lock (fast when warm); run the grid
-        // outside it so status/stats stay responsive during simulation.
-        let grid = spec.build(&mut self.lock().worlds)?;
+        // Lock only to fetch worlds (fast when warm); build and run the
+        // grid outside it so status/stats stay responsive.
+        let grid = spec.build_with(&mut || self.lock().worlds.city())?;
         let report = grid.run(&RunOptions {
             trials,
             threads: self.inner.config.threads,

@@ -4,10 +4,11 @@
 //! Unlike the token rules, these are *workspace-level* — each check reads
 //! several files and compares them:
 //!
-//! * **S001** — every `exp_*` binary under `crates/bench/src/bin/` must be
-//!   mentioned in `README.md` (the reproduction guide is the contract for
-//!   how results are regenerated; an undocumented binary is dead weight or
-//!   missing docs).
+//! * **S001** — every grid name in the scenario catalogue
+//!   (`crates/bench/src/catalogue.rs`, the `name: "…"` fields of its
+//!   non-test code) must be mentioned in `README.md` (the reproduction
+//!   guide is the contract for how results are regenerated; an
+//!   undocumented grid is dead weight or missing docs).
 //! * **S002** — every protocol name registered in the non-test code of
 //!   `crates/baselines/src/registry.rs` must appear in both `README.md`
 //!   and `ARCHITECTURE.md` (the registry is the single source of protocol
@@ -55,31 +56,43 @@ fn file_finding(path: &str, rule: &'static str, message: String) -> Finding {
     }
 }
 
-/// S001: every `exp_*` binary appears in README.md.
+/// S001: every scenario-catalogue grid name appears in README.md.
 fn check_readme_repro(root: &Path, findings: &mut Vec<Finding>) {
-    let bin_dir = root.join("crates/bench/src/bin");
-    let Ok(entries) = std::fs::read_dir(&bin_dir) else {
-        return; // no bin dir, nothing to check (fixture trees may omit it)
+    let cat_path = "crates/bench/src/catalogue.rs";
+    let Ok(src) = std::fs::read_to_string(root.join(cat_path)) else {
+        return; // no catalogue, nothing to check (fixture trees may omit it)
     };
     let readme = std::fs::read_to_string(root.join("README.md")).unwrap_or_default();
-    let mut names: Vec<String> = entries
-        .filter_map(|e| e.ok())
-        .filter_map(|e| {
-            let name = e.file_name().to_string_lossy().into_owned();
-            name.strip_suffix(".rs").map(str::to_string)
-        })
-        .filter(|n| n.starts_with("exp_"))
-        .collect();
-    names.sort_unstable();
-    for name in names {
+    for (name, line) in catalogue_names(&src) {
         if !contains_word(&readme, &name) {
-            findings.push(file_finding(
-                &format!("crates/bench/src/bin/{name}.rs"),
-                "S001",
-                format!("binary `{name}` is not mentioned in README.md's reproduction docs"),
-            ));
+            findings.push(Finding {
+                path: cat_path.to_string(),
+                line,
+                col: 1,
+                rule: "S001",
+                message: format!(
+                    "catalogue grid `{name}` is not mentioned in README.md's reproduction docs"
+                ),
+            });
         }
     }
+}
+
+/// Extracts `(name, line)` for every `name: "…"` field in the non-test
+/// code of the scenario catalogue source.
+pub fn catalogue_names(src: &str) -> Vec<(String, u32)> {
+    let tokens = tokenize(src);
+    let code: Vec<_> = tokens.iter().filter(|t| !t.is_comment()).collect();
+    let gated = crate::rules::test_gated_lines(src);
+    code.windows(3)
+        .filter(|w| {
+            w[0].is_ident("name")
+                && w[1].is_punct(":")
+                && w[2].kind == TokenKind::Str
+                && !gated.contains(&w[0].line)
+        })
+        .map(|w| (w[2].text.trim_matches('"').to_string(), w[0].line))
+        .collect()
 }
 
 /// S002: registered protocol names appear in README.md and ARCHITECTURE.md.
@@ -190,7 +203,7 @@ pub fn protocol_commands(src: &str) -> Vec<(String, u32)> {
 }
 
 /// Word-ish containment: `needle` present and not embedded in a larger
-/// identifier (so `exp_fig5` is not satisfied by `exp_fig5b`).
+/// identifier (so `fig5` is not satisfied by `fig5-seeds`).
 fn contains_word(haystack: &str, needle: &str) -> bool {
     let boundary =
         |c: Option<char>| c.is_none_or(|c| !(c.is_alphanumeric() || c == '_' || c == '-'));

@@ -88,10 +88,13 @@ fn s_fail_tree_drifts_in_every_family() {
     let rules_for =
         |rule: &str| -> Vec<&Finding> { findings.iter().filter(|f| f.rule == rule).collect() };
 
-    // S001: exp_ghost exists but README.md never names it; exp_demo is fine.
+    // S001: the catalogue's `ghost` grid is never named in README.md;
+    // `demo` is fine, and the test-only `scratch` entry needs no docs.
     let s001 = rules_for("S001");
     assert_eq!(s001.len(), 1, "{findings:?}");
-    assert!(s001[0].path.ends_with("exp_ghost.rs"));
+    assert!(s001[0].path.ends_with("catalogue.rs"));
+    assert!(s001[0].message.contains("`ghost`"));
+    assert_eq!(s001[0].line, 3);
 
     // S002: `beta` is registered but absent from both documents.
     let s002 = rules_for("S002");

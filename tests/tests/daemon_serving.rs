@@ -1,14 +1,16 @@
 //! End-to-end checks of the `dimmerd` serving path: memoized results are
 //! byte-identical to fresh runs, scenario hashes are stable across
-//! equivalent spec constructions, the warm world cache serves the city
-//! grid with the exact offline bytes, and concurrent TCP clients each get
-//! their deterministic report.
+//! equivalent spec constructions, served reports carry the exact bytes the
+//! `exp` command line writes for the same catalogue grid, and concurrent
+//! TCP clients each get their deterministic report without stalls, even
+//! after hostile input.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
-use dimmer_bench::experiments::city_scale_grid;
-use dimmer_bench::harness::RunOptions;
+use dimmer_bench::catalogue::run_cli;
+use dimmer_bench::harness::{HarnessCli, RunOptions};
 use dimmerd::json::{self, Json};
 use dimmerd::{Daemon, DaemonConfig, ScenarioSpec, WorldCache};
 
@@ -98,29 +100,28 @@ fn memoized_result_is_byte_identical_to_a_fresh_run() {
     executor.join().unwrap();
 }
 
+/// The `--json` bytes of `exp` run with `args`.
+fn exp_json(args: &[&str]) -> String {
+    let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+    let cli = HarnessCli::parse_from(&args).expect("valid exp command line");
+    run_cli(&cli).expect("exp runs the grid").to_json()
+}
+
 #[test]
-fn warm_world_city_report_matches_the_offline_grid_bytes() {
+fn warm_world_city_report_matches_the_exp_cli_bytes() {
     let d = daemon();
     let executor = d.spawn_executor();
 
     // The daemon resolves `city --quick` to 8 floods, 4 trials, seed 500
-    // over the warm world cache; the offline reference builds everything
-    // cold. Bytes must agree exactly.
+    // over the warm world cache, flooding serially; `exp` builds every
+    // world cold and fans each trial's floods across 3 threads. Bytes must
+    // agree exactly.
     let (_, served) = submit_and_wait(
         &d,
         r#"{"cmd":"submit","spec":{"grid":"city","quick":true}}"#,
     );
-    let offline = city_scale_grid(8)
-        .run(&RunOptions {
-            trials: 4,
-            threads: 2,
-            seed: 500,
-        })
-        .to_json();
-    assert_eq!(
-        served, offline,
-        "warm-cache city report != cold-built bytes"
-    );
+    let offline = exp_json(&["--grid", "city", "--quick", "--threads", "3"]);
+    assert_eq!(served, offline, "warm-cache city report != exp bytes");
 
     // A second submission is a memo hit — and the worlds were only built
     // once (the whole point of the warm cache).
@@ -237,9 +238,7 @@ fn scenario_hashes_are_stable_across_equivalent_constructions() {
 fn tcp_ask(addr: std::net::SocketAddr, line: &str) -> Json {
     let stream = TcpStream::connect(addr).expect("connect to test daemon");
     let mut writer = stream.try_clone().expect("clone stream");
-    writer.write_all(line.as_bytes()).unwrap();
-    writer.write_all(b"\n").unwrap();
-    writer.flush().unwrap();
+    writer.write_all(format!("{line}\n").as_bytes()).unwrap();
     let mut reply = String::new();
     BufReader::new(stream).read_line(&mut reply).unwrap();
     json::parse(reply.trim()).expect("daemon replies are valid JSON")
@@ -315,4 +314,144 @@ fn concurrent_tcp_clients_each_get_their_deterministic_report() {
     assert_eq!(bye.get("state").and_then(Json::as_str), Some("draining"));
     executor.join().unwrap();
     server.join().unwrap().expect("server exits cleanly");
+}
+
+#[test]
+fn exp_cli_bytes_equal_daemon_bytes_for_every_builder_kind() {
+    let d = daemon();
+    let executor = d.spawn_executor();
+    // A plain grid, a protocol grid whose `exp` timeline hands its run to
+    // the grid, and an in-sim training grid (`--envs` is pure prefetch).
+    let cases: [(&str, &[&str]); 3] = [
+        (
+            r#"{"grid":"table1","seed":3}"#,
+            &["--grid", "table1", "--seed", "3"],
+        ),
+        (
+            r#"{"grid":"dynamics:flash-crowd","quick":true,"protocols":["dimmer-zoo","static"]}"#,
+            &[
+                "--grid",
+                "dynamics:flash-crowd",
+                "--quick",
+                "--protocols",
+                "dimmer-zoo,static",
+            ],
+        ),
+        (
+            r#"{"grid":"train:calm","quick":true}"#,
+            &["--grid", "train:calm", "--quick", "--envs", "2"],
+        ),
+    ];
+    for (spec, args) in cases {
+        let (_, served) = submit_and_wait(&d, &format!(r#"{{"cmd":"submit","spec":{spec}}}"#));
+        assert_eq!(served, exp_json(args), "{spec}: daemon != exp bytes");
+    }
+    ask(&d, r#"{"cmd":"shutdown"}"#);
+    executor.join().unwrap();
+}
+
+#[test]
+fn duplicate_protocols_are_rejected_by_exp_and_the_daemon() {
+    let reply = ask(
+        &daemon(),
+        r#"{"cmd":"submit","spec":{"grid":"fig5","protocols":["pid","static","pid"]}}"#,
+    );
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)));
+    let error = reply.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("more than once"), "{error}");
+
+    let args: Vec<String> = ["--grid", "fig5", "--protocols", "pid,static,pid"]
+        .iter()
+        .map(|a| a.to_string())
+        .collect();
+    let cli = HarnessCli::parse_from(&args).unwrap();
+    let error = run_cli(&cli).expect_err("exp rejects the selection");
+    assert!(error.contains("more than once"), "{error}");
+}
+
+/// A live daemon on an ephemeral port; returns its address and the
+/// handles to join after `shutdown`.
+fn serve() -> (
+    std::net::SocketAddr,
+    Vec<std::thread::JoinHandle<()>>,
+    std::thread::JoinHandle<std::io::Result<()>>,
+) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let d = daemon();
+    let executors = d.spawn_executors(1);
+    let server = std::thread::spawn(move || dimmerd::server::serve(&d, listener));
+    (addr, executors, server)
+}
+
+/// One request line written in a single write, and its reply.
+fn exchange(stream: &mut BufReader<TcpStream>, line: &str) -> Json {
+    stream
+        .get_mut()
+        .write_all(format!("{line}\n").as_bytes())
+        .unwrap();
+    let mut reply = String::new();
+    stream.read_line(&mut reply).unwrap();
+    json::parse(reply.trim()).expect("daemon replies are valid JSON")
+}
+
+fn shut_down(
+    addr: std::net::SocketAddr,
+    executors: Vec<std::thread::JoinHandle<()>>,
+    server: std::thread::JoinHandle<std::io::Result<()>>,
+) {
+    tcp_ask(addr, r#"{"cmd":"shutdown"}"#);
+    for executor in executors {
+        executor.join().unwrap();
+    }
+    server.join().unwrap().expect("server exits cleanly");
+}
+
+#[test]
+fn sequential_exchanges_on_one_connection_do_not_stall() {
+    let (addr, executors, server) = serve();
+    let mut stream = BufReader::new(TcpStream::connect(addr).unwrap());
+    // A reply split over two writes waits ~40 ms for the client's delayed
+    // ACK, so 20 exchanges took ~0.9 s; one write each takes microseconds.
+    let start = Instant::now();
+    for _ in 0..20 {
+        let stats = exchange(&mut stream, r#"{"cmd":"stats"}"#);
+        assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "20 stats exchanges took {elapsed:?}"
+    );
+    drop(stream);
+    shut_down(addr, executors, server);
+}
+
+#[test]
+fn deeply_nested_submit_is_an_error_reply_not_a_crash() {
+    let hostile = format!(
+        r#"{{"cmd":"submit","spec":{{"grid":"fig5","protocols":{}}}}}"#,
+        "[".repeat(100_000)
+    );
+    let d = daemon();
+    let (reply, _) = d.handle_line(&hostile);
+    let reply = json::parse(&reply).unwrap();
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)));
+    assert!(reply
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap()
+        .contains("nesting"));
+
+    let (addr, executors, server) = serve();
+    let mut stream = BufReader::new(TcpStream::connect(addr).unwrap());
+    let reply = exchange(&mut stream, &hostile);
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+    // The connection and the daemon both survive.
+    let stats = exchange(&mut stream, r#"{"cmd":"stats"}"#);
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
+    let stats = tcp_ask(addr, r#"{"cmd":"stats"}"#);
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
+    drop(stream);
+    shut_down(addr, executors, server);
 }

@@ -1,8 +1,8 @@
-//! Smoke tests for the experiment harness: every `exp_*` scenario builder is
-//! exercised for a handful of rounds with a rule-based policy (no DQN
-//! training), guarding the rarely-run experiment binaries against build and
-//! behavior rot. Protocols are addressed by their registry names, exactly as
-//! the binaries' `--protocols` flags do.
+//! Smoke tests for the experiment harness: every catalogue grid's
+//! single-trial builder is exercised for a handful of rounds with a
+//! rule-based policy (no DQN training), guarding rarely-run experiments
+//! against build and behavior rot. Protocols are addressed by their
+//! registry names, exactly as `exp --protocols` does.
 
 use dimmer_bench::experiments::{
     dynamics_run, fig4b_row, fig4c_dimmer, fig4c_pid, fig5_run, fig6_run, fig6_single, fig7_run,

@@ -1,9 +1,9 @@
 //! Scheduler-extraction pinning: byte-identical harness reports for every
-//! `exp_*` grid at fixed seeds.
+//! catalogue grid builder at fixed seeds.
 //!
 //! The worker pool, per-trial seeding and report assembly of
 //! `dimmer-bench::harness` were extracted into the reusable
-//! `dimmer-bench::scheduler` library (shared by the `exp_*` binaries and
+//! `dimmer-bench::scheduler` library (shared by the `exp` binary and
 //! the `dimmerd` daemon). These goldens were captured from the
 //! pre-extraction harness: every grid builder is run at a small fixed
 //! configuration and the FNV-1a digest of its serialized JSON report must
@@ -13,9 +13,9 @@
 use std::sync::Arc;
 
 use dimmer_bench::experiments::{
-    city_scale_grid, dynamics_grid, fig4b_grid, fig4c_grid, fig5_grid, fig5_seed_sweep_grid,
-    fig6_grid, fig7_grid, protocol_list, table1_grid, topology_size_grid, DCUBE_PROTOCOLS,
-    DYNAMICS_PROTOCOLS, TESTBED_PROTOCOLS,
+    city_scale_grid, city_worlds, dynamics_grid, fig4b_grid, fig4c_grid, fig5_grid,
+    fig5_seed_sweep_grid, fig6_grid, fig7_grid, protocol_list, table1_grid, topology_size_grid,
+    DCUBE_PROTOCOLS, DYNAMICS_PROTOCOLS, TESTBED_PROTOCOLS,
 };
 use dimmer_bench::harness::{RunOptions, ScenarioGrid};
 use dimmer_core::{AdaptivityPolicy, DimmerConfig};
@@ -136,7 +136,8 @@ fn dynamics_grid_is_pinned() {
 
 #[test]
 fn city_grid_is_pinned() {
-    pin(city_scale_grid(2), 1, GOLDEN_CITY);
+    let worlds = city_worlds().into_iter().map(Arc::new).collect();
+    pin(city_scale_grid(2, worlds, 1), 1, GOLDEN_CITY);
 }
 
 // Golden digests captured from the pre-extraction harness (PR 7 state) at

@@ -6,7 +6,7 @@
 //! 1. **Environment-count invariance** — training curves and final weights
 //!    are byte-identical for any `envs` at a fixed seed (the farm's rollout
 //!    width is pure prefetch, like the scheduler's `--threads`).
-//! 2. **Golden report bytes** — the `exp_train --quick --family calm`
+//! 2. **Golden report bytes** — the `exp --grid train:calm --quick`
 //!    JSON digest is pinned, so any drift in the farm, the environment
 //!    adapter, the engine or the report assembly shows up here.
 //! 3. **Zoo round-trip** — weights survive serialize → parse → decide, and
@@ -26,9 +26,9 @@ use dimmer_sim::{NoInterference, SimRng, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// `exp_train --quick --family calm --seed 42 --trials 1` report digest.
+/// `exp --grid train:calm --quick --seed 42 --trials 1` report digest.
 /// Re-derive with:
-/// `cargo run --release -p dimmer-bench --bin exp_train -- --quick --family calm --seed 42 --trials 1 --json /tmp/t.json`
+/// `cargo run --release -p dimmer-bench --bin exp -- --grid train:calm --quick --seed 42 --trials 1 --json /tmp/t.json`
 const GOLDEN_TRAIN_CALM_QUICK: u64 = 0x9e59c0825588089e;
 
 fn quick_calm_json() -> String {
@@ -46,7 +46,7 @@ fn quick_calm_training_report_matches_the_golden_digest() {
     assert_eq!(
         json_digest(&json),
         GOLDEN_TRAIN_CALM_QUICK,
-        "exp_train --quick --family calm --seed 42 drifted; if intentional, update the golden:\n{json}"
+        "exp --grid train:calm --quick --seed 42 drifted; if intentional, update the golden:\n{json}"
     );
 }
 
