@@ -13,6 +13,8 @@
 //! the same grid with the same `--trials/--seed` therefore produces
 //! byte-identical reports regardless of `--threads`.
 
+use dimmer_json::{write_f64, write_str};
+use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
@@ -142,41 +144,51 @@ impl GridReport {
     /// ```
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"grid\": {},\n", json_string(&self.grid)));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"trials\": {},\n", self.trials));
-        out.push_str("  \"cells\": [");
+        out.push_str("{\n  \"grid\": ");
+        write_str(&mut out, &self.grid);
+        let _ = write!(
+            out,
+            ",\n  \"seed\": {},\n  \"trials\": {},\n  \"cells\": [",
+            self.seed, self.trials
+        );
         for (ci, cell) in self.cells.iter().enumerate() {
             if ci > 0 {
                 out.push(',');
             }
-            out.push_str("\n    {\n");
-            out.push_str(&format!("      \"label\": {},\n", json_string(&cell.label)));
-            out.push_str("      \"params\": {");
+            out.push_str("\n    {\n      \"label\": ");
+            write_str(&mut out, &cell.label);
+            out.push_str(",\n      \"params\": {");
             for (pi, (k, v)) in cell.params.iter().enumerate() {
                 if pi > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!("{}: {}", json_string(k), json_string(v)));
+                write_str(&mut out, k);
+                out.push_str(": ");
+                write_str(&mut out, v);
             }
-            out.push_str("},\n");
-            out.push_str(&format!("      \"trials\": {},\n", cell.trials));
-            out.push_str("      \"metrics\": {");
+            let _ = write!(
+                out,
+                "}},\n      \"trials\": {},\n      \"metrics\": {{",
+                cell.trials
+            );
             for (mi, (name, agg)) in cell.metrics.iter().enumerate() {
                 if mi > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!(
-                    "\n        {}: {{\"n\": {}, \"mean\": {}, \"stddev\": {}, \"ci95\": {}, \"min\": {}, \"max\": {}}}",
-                    json_string(name),
-                    agg.n,
-                    json_f64(agg.mean),
-                    json_f64(agg.stddev),
-                    json_f64(agg.ci95),
-                    json_f64(agg.min),
-                    json_f64(agg.max),
-                ));
+                out.push_str("\n        ");
+                write_str(&mut out, name);
+                let _ = write!(out, ": {{\"n\": {}", agg.n);
+                for (key, x) in [
+                    ("mean", agg.mean),
+                    ("stddev", agg.stddev),
+                    ("ci95", agg.ci95),
+                    ("min", agg.min),
+                    ("max", agg.max),
+                ] {
+                    let _ = write!(out, ", \"{key}\": ");
+                    write_f64(&mut out, x);
+                }
+                out.push('}');
             }
             if !cell.metrics.is_empty() {
                 out.push_str("\n      ");
@@ -234,40 +246,6 @@ impl GridReport {
             self.trials,
             self.seed
         );
-    }
-}
-
-/// Escapes `s` as a JSON string literal (quotes included).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats a float as a JSON value (non-finite values become `null`).
-///
-/// Rust's shortest round-trip formatting is deterministic across runs and
-/// platforms, which the byte-identical-report guarantee relies on.
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        let s = format!("{x}");
-        // Bare "1" is valid JSON but ambiguous about floatness; keep it as
-        // emitted — consumers parse numbers uniformly.
-        s
-    } else {
-        "null".to_string()
     }
 }
 
@@ -335,9 +313,34 @@ mod tests {
 
     #[test]
     fn non_finite_metrics_render_as_null() {
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(1.25), "1.25");
+        let agg = Aggregate {
+            n: 2,
+            mean: f64::NAN,
+            stddev: f64::INFINITY,
+            ci95: f64::NEG_INFINITY,
+            min: 1.25,
+            max: f64::NAN,
+        };
+        let report = GridReport {
+            grid: "g".into(),
+            seed: 0,
+            trials: 2,
+            cells: vec![CellReport {
+                label: "x".into(),
+                params: vec![],
+                trials: 2,
+                metrics: vec![("m".into(), agg)],
+            }],
+        };
+        let json = report.to_json();
+        assert!(json.contains(
+            r#""m": {"n": 2, "mean": null, "stddev": null, "ci95": null, "min": 1.25, "max": null}"#
+        ));
+        let v = dimmer_json::parse(&json).expect("the report stays valid JSON");
+        let cells = v.get("cells").and_then(dimmer_json::Json::as_arr).unwrap();
+        let m = cells[0].get("metrics").and_then(|ms| ms.get("m")).unwrap();
+        assert_eq!(m.get("mean"), Some(&dimmer_json::Json::Null));
+        assert_eq!(m.get("min").and_then(dimmer_json::Json::as_f64), Some(1.25));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use dimmerd::json::{self, Json};
+use dimmer_json::Json;
 
 fn fail(message: &str) -> ! {
     eprintln!("error: {message}");
@@ -46,7 +46,7 @@ fn exchange(addr: &str, request: &str) -> Json {
     if line.trim().is_empty() {
         fail("daemon closed the connection without a reply");
     }
-    json::parse(line.trim()).unwrap_or_else(|e| fail(&format!("malformed reply: {e}")))
+    dimmer_json::parse(line.trim()).unwrap_or_else(|e| fail(&format!("malformed reply: {e}")))
 }
 
 fn reply_field<'a>(reply: &'a Json, key: &str) -> &'a Json {

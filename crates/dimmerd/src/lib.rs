@@ -22,9 +22,9 @@
 //! maps, no ambient environment — its observable behaviour (including
 //! every `stats` counter) is a pure function of the request sequence.
 //!
-//! Layers: [`json`] (the minimal parser/serializer), [`proto`] (wire
-//! commands), [`scenario`] (canonical specs over the catalogue), [`cache`]
-//! (warm worlds + memoized results), [`service`] (queue and executor),
+//! Layers: [`proto`] (wire commands over the `dimmer-json` codec),
+//! [`scenario`] (canonical specs over the catalogue), [`cache`] (warm
+//! worlds + memoized results), [`service`] (queue and executor),
 //! [`server`] (TCP framing). The `dimmerd` binary wires them together;
 //! `dimmer-cli` is the matching client.
 
@@ -32,11 +32,14 @@
 #![deny(missing_docs)]
 
 pub mod cache;
-pub mod json;
 pub mod proto;
 pub mod scenario;
 pub mod server;
 pub mod service;
+
+/// The JSON codec, re-exported for the out-of-workspace benchmark, which
+/// reaches it as `dimmerd::json`.
+pub use dimmer_json as json;
 
 pub use cache::{MemoCache, MemoStats, WorldCache};
 pub use proto::{Request, COMMANDS};

@@ -19,8 +19,8 @@
 //! string*; unescaping yields bytes identical to what the same scenario
 //! writes through `--json` offline.
 
-use crate::json::{self, Json};
 use crate::scenario::ScenarioSpec;
+use dimmer_json::Json;
 
 /// Every command the daemon understands, in documentation order.
 ///
@@ -52,7 +52,7 @@ pub enum Request {
 
 /// Parses one request line.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v = json::parse(line)?;
+    let v = dimmer_json::parse(line)?;
     let cmd = v
         .get("cmd")
         .and_then(Json::as_str)

@@ -17,7 +17,7 @@ use dimmer_bench::experiments::CityWorld;
 use dimmer_bench::harness::ScenarioGrid;
 
 use crate::cache::WorldCache;
-use crate::json::Json;
+use dimmer_json::Json;
 
 /// One submitted scenario: which grid, at which scale, with which
 /// protocol selection and seed.
@@ -185,10 +185,9 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     fn spec(line: &str) -> Result<ScenarioSpec, String> {
-        ScenarioSpec::from_json(&json::parse(line).unwrap())
+        ScenarioSpec::from_json(&dimmer_json::parse(line).unwrap())
     }
 
     #[test]

@@ -4,17 +4,25 @@
 //! drain-complete flag after a `shutdown` request; each accepted
 //! connection gets a plain thread reading one request line at a time and
 //! writing one reply line back. All protocol logic lives in
-//! [`Daemon`] — this module only moves bytes.
+//! [`Daemon`] — this module only moves bytes, and refuses lines that are
+//! too long or not UTF-8 with an error reply while the connection stays
+//! open.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread;
 use std::time::Duration;
 
+use crate::proto::error_reply;
 use crate::service::Daemon;
 
 /// How often the accept loop re-checks the stop flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
+
+/// The longest request line buffered, newline excluded. Real requests
+/// are under 1 KiB; a longer line is discarded up to its newline rather
+/// than grown without bound.
+const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Serves `daemon` on `listener` until a `shutdown` request has been
 /// processed **and** the executor has drained the queue. Call with the
@@ -50,19 +58,29 @@ fn handle_connection(daemon: &Daemon, stream: TcpStream) {
     };
     let mut writer = write_half;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
+        // One byte past the cap tells a full-length line from a longer one.
+        match (&mut reader)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut line)
+        {
+            Ok(0) | Err(_) => return,
             Ok(_) => {}
-            Err(_) => return,
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let (mut reply, _is_shutdown) = daemon.handle_line(trimmed);
+        let mut reply = if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+            if reader.skip_until(b'\n').is_err() {
+                return;
+            }
+            error_reply(&format!("request line longer than {MAX_LINE_BYTES} bytes"))
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => daemon.handle_line(text.trim()).0,
+                Err(_) => error_reply("request line is not valid UTF-8"),
+            }
+        };
         // One write per reply line: a separate write of the newline is held
         // back by Nagle's algorithm until the client ACKs the first one.
         reply.push('\n');

@@ -24,9 +24,9 @@ use std::thread;
 use dimmer_bench::harness::RunOptions;
 
 use crate::cache::{MemoCache, WorldCache};
-use crate::json::Json;
 use crate::proto::{error_reply, ok_reply, Request};
 use crate::scenario::ScenarioSpec;
+use dimmer_json::Json;
 
 /// Daemon tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -377,7 +377,6 @@ impl Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     fn daemon(queue_limit: usize) -> Daemon {
         Daemon::new(DaemonConfig {
@@ -390,7 +389,7 @@ mod tests {
 
     fn submit_line(d: &Daemon, line: &str) -> Json {
         let (reply, _) = d.handle_line(line);
-        json::parse(&reply).unwrap()
+        dimmer_json::parse(&reply).unwrap()
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The diagnostic type shared by every rule family and its renderers.
 
+use dimmer_json::Json;
 use std::fmt;
 
 /// One lint finding, pointing at a specific token (or file-level artifact).
@@ -30,14 +31,14 @@ impl Finding {
 
     /// Renders the finding as a JSON object (used by `--json`).
     pub fn render_json(&self) -> String {
-        format!(
-            r#"{{"path":{},"line":{},"col":{},"rule":"{}","message":{}}}"#,
-            json_string(&self.path),
-            self.line,
-            self.col,
-            self.rule,
-            json_string(&self.message)
-        )
+        Json::Obj(vec![
+            ("path".to_string(), Json::Str(self.path.clone())),
+            ("line".to_string(), Json::Int(self.line.into())),
+            ("col".to_string(), Json::Int(self.col.into())),
+            ("rule".to_string(), Json::Str(self.rule.to_string())),
+            ("message".to_string(), Json::Str(self.message.clone())),
+        ])
+        .to_string()
     }
 }
 
@@ -52,27 +53,6 @@ pub fn sort_findings(findings: &mut [Finding]) {
     findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -94,8 +74,23 @@ mod tests {
 
     #[test]
     fn json_escapes_specials() {
-        assert_eq!(json_string("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
-        assert_eq!(json_string("\u{1}"), r#""\u0001""#);
+        let f = Finding {
+            path: "a\"b.rs".into(),
+            line: 1,
+            col: 2,
+            rule: "D001",
+            message: "a\"b\\c\nd\u{1}".into(),
+        };
+        let line = f.render_json();
+        assert_eq!(
+            line,
+            r#"{"path":"a\"b.rs","line":1,"col":2,"rule":"D001","message":"a\"b\\c\nd\u0001"}"#
+        );
+        let v = dimmer_json::parse(&line).unwrap();
+        assert_eq!(
+            v.get("message").and_then(Json::as_str),
+            Some(f.message.as_str())
+        );
     }
 
     #[test]

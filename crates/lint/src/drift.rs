@@ -31,8 +31,8 @@
 //!   truth.
 
 use crate::diag::Finding;
-use crate::json::{self, Json};
 use crate::tokenizer::{tokenize, TokenKind};
+use dimmer_json::Json;
 use std::path::Path;
 
 /// Runs every S-rule against the workspace at `root`.
@@ -255,7 +255,7 @@ pub fn schema_problems(suite: &str, text: &str) -> Vec<String> {
             )]
         }
     };
-    let doc = match json::parse(text) {
+    let doc = match dimmer_json::parse(text) {
         Ok(doc) => doc,
         Err(e) => return vec![format!("not valid JSON: {e}")],
     };
@@ -275,7 +275,7 @@ pub fn schema_problems(suite: &str, text: &str) -> Vec<String> {
                     problems.push(format!("benchmarks[{i}] is missing string field `name`"));
                 }
                 for field in ["mean_ns", "iters"] {
-                    if b.get(field).and_then(Json::as_num).is_none() {
+                    if b.get(field).and_then(Json::as_f64).is_none() {
                         problems.push(format!(
                             "benchmarks[{i}] is missing numeric field `{field}`"
                         ));
@@ -285,7 +285,7 @@ pub fn schema_problems(suite: &str, text: &str) -> Vec<String> {
         }
         None => problems.push("missing array field `benchmarks`".to_string()),
     }
-    match doc.get(headline).and_then(Json::as_num) {
+    match doc.get(headline).and_then(Json::as_f64) {
         Some(v) if v > 0.0 => {}
         Some(v) => problems.push(format!("`{headline}` must be positive, got {v}")),
         None => problems.push(format!("missing numeric field `{headline}`")),
@@ -313,10 +313,10 @@ fn check_headline_claims(root: &Path, findings: &mut Vec<Finding>) {
         let Ok(text) = std::fs::read_to_string(root.join(&file)) else {
             continue; // no report, nothing to cross-check
         };
-        let Ok(doc) = json::parse(&text) else {
+        let Ok(doc) = dimmer_json::parse(&text) else {
             continue; // S003 already reports unparseable reports
         };
-        let Some(recorded) = doc.get(headline).and_then(Json::as_num) else {
+        let Some(recorded) = doc.get(headline).and_then(Json::as_f64) else {
             continue; // S003 already reports the missing headline field
         };
         for name in ["README.md", "ARCHITECTURE.md"] {

@@ -130,3 +130,21 @@ fn s_fail_tree_drifts_in_every_family() {
     assert!(s005[0].message.contains("patch_speedup"));
     assert!(s005[0].message.contains("3.1"));
 }
+
+#[test]
+fn hostile_bench_report_is_one_finding_not_an_abort() {
+    // 200 000 unclosed arrays: a recursive parser without a depth limit
+    // overflows the stack here and takes the whole lint run down.
+    let root = std::env::temp_dir().join(format!("dimmer-lint-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&root).unwrap();
+    std::fs::write(root.join("BENCH_flood.json"), "[".repeat(200_000)).unwrap();
+    let findings = lint_drift(&root);
+    std::fs::remove_dir_all(&root).unwrap();
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, "S003");
+    assert_eq!(findings[0].path, "BENCH_flood.json");
+    assert!(
+        findings[0].message.contains("not valid JSON"),
+        "{findings:?}"
+    );
+}

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use dimmer_bench::catalogue::run_cli;
 use dimmer_bench::harness::{HarnessCli, RunOptions};
-use dimmerd::json::{self, Json};
+use dimmer_json::{self as json, Json};
 use dimmerd::{Daemon, DaemonConfig, ScenarioSpec, WorldCache};
 
 fn daemon() -> Daemon {
@@ -454,4 +454,39 @@ fn deeply_nested_submit_is_an_error_reply_not_a_crash() {
     assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
     drop(stream);
     shut_down(addr, executors, server);
+}
+
+/// Sends `bad` (newline appended) on one connection, expects exactly one
+/// error reply, then checks the same connection still serves `stats`.
+fn one_error_reply_then_stats(bad: &[u8], expect_in_error: &str) {
+    let (addr, executors, server) = serve();
+    let mut stream = BufReader::new(TcpStream::connect(addr).unwrap());
+    let mut line = bad.to_vec();
+    line.push(b'\n');
+    stream.get_mut().write_all(&line).unwrap();
+    let mut reply = String::new();
+    stream.read_line(&mut reply).unwrap();
+    let reply = json::parse(reply.trim()).expect("daemon replies are valid JSON");
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+    let error = reply.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains(expect_in_error), "{error}");
+    // The next reply on the stream answers `stats`: a second error reply
+    // for the same line would arrive here instead.
+    let stats = exchange(&mut stream, r#"{"cmd":"stats"}"#);
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats:?}");
+    assert!(stats.get("queue_len").is_some(), "{stats:?}");
+    drop(stream);
+    shut_down(addr, executors, server);
+}
+
+#[test]
+fn oversize_request_line_gets_one_error_reply_and_the_connection_survives() {
+    let mut hostile = br#"{"cmd":"stats","pad":""#.to_vec();
+    hostile.resize(1024 * 1024, b'x');
+    one_error_reply_then_stats(&hostile, "longer than");
+}
+
+#[test]
+fn non_utf8_request_line_gets_one_error_reply_and_the_connection_survives() {
+    one_error_reply_then_stats(&[0xff, 0xfe], "UTF-8");
 }
