@@ -3,12 +3,14 @@
 //! Three baselines appear in the evaluation (§V):
 //!
 //! * **static LWB** — plain LWB with a fixed `N_TX = 3` and a single channel
-//!   ([`StaticLwbRunner`]); the non-adaptive reference that collapses to
-//!   ~27 % reliability under strong WiFi interference,
+//!   (registry key `"static"`, driven by
+//!   [`StaticNtxController`](dimmer_core::StaticNtxController)); the
+//!   non-adaptive reference that collapses to ~27 % reliability under strong
+//!   WiFi interference,
 //! * **a tuned PI(D) controller** — the traditional closed-loop alternative
 //!   to the DQN, with `K_P = 1`, `K_I = 0.25`, tuned for reliability first
-//!   ([`PidController`], [`PidRunner`]); it adapts but overshoots and cannot
-//!   quantify interference strength,
+//!   (registry key `"pid"`, driven by [`PidController`]); it adapts but
+//!   overshoots and cannot quantify interference strength,
 //! * **Crystal** — the state-of-the-art dependable ST protocol for aperiodic
 //!   collection (Istomin et al., IPSN 2018), built on
 //!   transmission–acknowledgement pairs, channel hopping and noise detection
@@ -25,10 +27,6 @@
 //! [`ProtocolRegistry`] (`"dimmer-dqn"`, `"dimmer-rule"`, `"pid"`,
 //! `"static"`, `"crystal"`), which is what the experiment binaries'
 //! `--protocols` flags resolve against.
-//!
-//! The legacy [`PidRunner`] and [`StaticLwbRunner`] types are kept as thin
-//! shims over the engine machinery; the engine-equivalence test suite pins
-//! their report streams to the registry-built engines byte-for-byte.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -36,11 +34,9 @@
 pub mod crystal;
 pub mod pid;
 pub mod registry;
-pub mod static_lwb;
 
 pub use crystal::{CrystalConfig, CrystalControl, CrystalEpochReport, CrystalRunner};
-pub use pid::{PidController, PidRunner};
+pub use pid::PidController;
 pub use registry::{
     ProtocolBuildFn, ProtocolEntry, ProtocolRegistry, SimulationBuilder, UnknownProtocolError,
 };
-pub use static_lwb::StaticLwbRunner;

@@ -9,12 +9,7 @@
 //! integral term, is slow to come back down — and it cannot distinguish
 //! interference *levels*.
 
-use dimmer_core::{
-    AdaptivityPolicy, ControlDecision, Controller, DimmerConfig, DimmerRoundReport, DimmerRunner,
-    RoundObservation,
-};
-use dimmer_lwb::{LwbConfig, TrafficPattern};
-use dimmer_sim::{InterferenceModel, Topology};
+use dimmer_core::{ControlDecision, Controller, RoundObservation};
 
 /// A discrete PI(D) controller mapping observed reliability to the next
 /// `N_TX`.
@@ -119,8 +114,8 @@ impl Default for PidController {
 
 /// The PI(D) baseline as a [`Controller`]: it feeds the observed round
 /// reliability into [`PidController::update`] and pins the next round's
-/// `N_TX` to the controller output — exactly the feedback loop the legacy
-/// [`PidRunner`] ran externally around the Dimmer runner.
+/// `N_TX` to the controller output — the "traditional adaptivity" system
+/// compared against Dimmer in Figs. 4d and 5 (registry name `"pid"`).
 impl Controller for PidController {
     fn name(&self) -> &str {
         "pid"
@@ -129,102 +124,14 @@ impl Controller for PidController {
     fn observe(&mut self, obs: &RoundObservation<'_>) -> ControlDecision {
         ControlDecision::SetNtx(self.update(obs.reliability))
     }
-
-    fn reset(&mut self) {
-        PidController::reset(self);
-    }
-}
-
-/// Drives the LWB stack with the PI controller choosing `N_TX` each round —
-/// the "traditional adaptivity" system compared against Dimmer in
-/// Figs. 4d and 5.
-///
-/// This is the legacy shim kept for the engine-equivalence suite: it runs
-/// the PID feedback loop *externally* (`run_round` → `update` → `force_ntx`)
-/// around a [`DimmerRunner`] with the adaptivity disabled. New code should
-/// plug the [`PidController`] straight into a
-/// [`RoundEngine`](dimmer_core::RoundEngine) via the protocol registry
-/// (`"pid"`), which reproduces this shim's report stream byte-for-byte.
-#[derive(Debug)]
-pub struct PidRunner<'a> {
-    runner: DimmerRunner<'a>,
-    pid: PidController,
-}
-
-impl<'a> PidRunner<'a> {
-    /// Creates a PID-driven LWB runner over the given substrate.
-    pub fn new(
-        topology: &'a Topology,
-        interference: &'a dyn InterferenceModel,
-        lwb_config: LwbConfig,
-        pid: PidController,
-        seed: u64,
-    ) -> Self {
-        let config = DimmerConfig {
-            adaptivity_enabled: false,
-            forwarder: dimmer_core::ForwarderConfig {
-                enabled: false,
-                ..Default::default()
-            },
-            ..DimmerConfig::default()
-        };
-        let runner = DimmerRunner::new(
-            topology,
-            interference,
-            lwb_config,
-            config,
-            AdaptivityPolicy::rule_based(),
-            seed,
-        );
-        PidRunner { runner, pid }
-    }
-
-    /// Replaces the traffic pattern.
-    pub fn with_traffic(mut self, traffic: TrafficPattern) -> Self {
-        self.runner = self.runner.with_traffic(traffic);
-        self
-    }
-
-    /// The controller driving this runner (e.g. to carry its integral state
-    /// into a follow-up run over a different interference object).
-    pub fn controller(&self) -> &PidController {
-        &self.pid
-    }
-
-    /// The `N_TX` currently applied.
-    pub fn ntx(&self) -> u8 {
-        self.runner.ntx()
-    }
-
-    /// Total energy spent so far, in Joules.
-    pub fn total_energy_joules(&self) -> f64 {
-        self.runner.total_energy_joules()
-    }
-
-    /// End-to-end application reliability so far.
-    pub fn app_reliability(&self) -> f64 {
-        self.runner.app_reliability()
-    }
-
-    /// Runs one round: executes LWB with the controller's current `N_TX`,
-    /// then feeds the observed reliability back into the controller.
-    pub fn run_round(&mut self) -> DimmerRoundReport {
-        let report = self.runner.run_round();
-        let next = self.pid.update(report.reliability);
-        self.runner.force_ntx(next);
-        report
-    }
-
-    /// Runs `count` rounds.
-    pub fn run_rounds(&mut self, count: usize) -> Vec<DimmerRoundReport> {
-        (0..count).map(|_| self.run_round()).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dimmer_sim::{NoInterference, PeriodicJammer};
+    use crate::SimulationBuilder;
+    use dimmer_core::Simulation;
+    use dimmer_sim::{InterferenceModel, NoInterference, PeriodicJammer, Topology};
     use proptest::prelude::*;
 
     #[test]
@@ -278,6 +185,18 @@ mod tests {
         assert_eq!(pid.update(1.0), 1);
     }
 
+    fn pid_engine<'a>(
+        topo: &'a Topology,
+        interference: &'a dyn InterferenceModel,
+        seed: u64,
+    ) -> Box<dyn Simulation + 'a> {
+        SimulationBuilder::new(topo)
+            .interference(interference)
+            .seed(seed)
+            .build_protocol("pid")
+            .unwrap()
+    }
+
     #[test]
     fn pid_runner_reacts_to_jamming() {
         let topo = Topology::kiel_testbed_18(1);
@@ -285,20 +204,8 @@ mod tests {
         for j in PeriodicJammer::kiel_pair(0.35) {
             interference.push(Box::new(j));
         }
-        let mut jammed = PidRunner::new(
-            &topo,
-            &interference,
-            LwbConfig::testbed_default(),
-            PidController::paper_pi(),
-            3,
-        );
-        let mut calm = PidRunner::new(
-            &topo,
-            &NoInterference,
-            LwbConfig::testbed_default(),
-            PidController::paper_pi(),
-            3,
-        );
+        let mut jammed = pid_engine(&topo, &interference, 3);
+        let mut calm = pid_engine(&topo, &NoInterference, 3);
         jammed.run_rounds(12);
         calm.run_rounds(12);
         assert!(
@@ -312,13 +219,7 @@ mod tests {
     #[test]
     fn pid_runner_stays_modest_when_calm() {
         let topo = Topology::kiel_testbed_18(1);
-        let mut runner = PidRunner::new(
-            &topo,
-            &NoInterference,
-            LwbConfig::testbed_default(),
-            PidController::paper_pi(),
-            3,
-        );
+        let mut runner = pid_engine(&topo, &NoInterference, 3);
         let reports = runner.run_rounds(20);
         let avg_rel: f64 = reports.iter().map(|r| r.reliability).sum::<f64>() / 20.0;
         assert!(avg_rel > 0.97);

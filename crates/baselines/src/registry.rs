@@ -169,7 +169,34 @@ impl<'a> SimulationBuilder<'a> {
         cfg
     }
 
-    /// Builds a [`RoundEngine`] driven by an explicit `controller`.
+    /// Builds a [`RoundEngine`] driven by an explicit `controller`: the one
+    /// place an LWB-round engine is assembled from the builder.
+    ///
+    /// The engine runs under the builder's Dimmer configuration as given,
+    /// with only the input-node count clamped to the topology. The registry's
+    /// `"pid"` and `"static"` entries first install the baseline
+    /// configuration (central adaptivity and forwarder selection off), so a
+    /// typed PID or static engine equals its registry twin only when built
+    /// with that same [`dimmer_config`](Self::dimmer_config).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dimmer_baselines::{PidController, SimulationBuilder};
+    /// use dimmer_core::DimmerConfig;
+    /// use dimmer_sim::Topology;
+    ///
+    /// let topo = Topology::kiel_testbed_18(1);
+    /// let mut baseline = DimmerConfig::default().without_adaptivity();
+    /// baseline.forwarder.enabled = false;
+    /// let mut typed = SimulationBuilder::new(&topo)
+    ///     .dimmer_config(baseline)
+    ///     .build(PidController::paper_pi());
+    /// let mut boxed = SimulationBuilder::new(&topo).build_protocol("pid").unwrap();
+    /// assert_eq!(typed.run_rounds(4), boxed.run_rounds(4));
+    /// // The typed engine exposes its controller's state.
+    /// assert_eq!(typed.controller().integral(), 0.0);
+    /// ```
     pub fn build<C: Controller>(self, controller: C) -> RoundEngine<'a, C> {
         let cfg = self.normalized_config();
         RoundEngine::with_controller(
@@ -329,20 +356,8 @@ fn build_adaptivity<'a>(
     builder: SimulationBuilder<'a>,
     policy: AdaptivityPolicy,
 ) -> Box<dyn Simulation + 'a> {
-    let cfg = builder.normalized_config();
-    let controller = AdaptivityController::new(policy, cfg.clone());
-    Box::new(
-        RoundEngine::with_controller(
-            builder.topology,
-            builder.interference,
-            builder.lwb_config,
-            cfg,
-            controller,
-            builder.seed,
-        )
-        .with_traffic(builder.traffic)
-        .with_world_script(builder.script),
-    )
+    let controller = AdaptivityController::new(policy, builder.normalized_config());
+    Box::new(builder.build(controller))
 }
 
 fn build_dimmer_dqn<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 'a> {
@@ -359,35 +374,15 @@ fn build_dimmer_rule<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation +
 
 fn build_pid<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 'a> {
     let cfg = builder.baseline_config();
-    Box::new(
-        RoundEngine::with_controller(
-            builder.topology,
-            builder.interference,
-            builder.lwb_config,
-            cfg,
-            builder.pid.clone(),
-            builder.seed,
-        )
-        .with_traffic(builder.traffic)
-        .with_world_script(builder.script),
-    )
+    let controller = builder.pid.clone();
+    Box::new(builder.dimmer_config(cfg).build(controller))
 }
 
 fn build_static<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 'a> {
     let mut cfg = builder.baseline_config();
     cfg.initial_ntx = builder.static_ntx.clamp(cfg.n_min, cfg.n_max);
-    Box::new(
-        RoundEngine::with_controller(
-            builder.topology,
-            builder.interference,
-            builder.lwb_config,
-            cfg,
-            StaticNtxController::new(builder.static_ntx),
-            builder.seed,
-        )
-        .with_traffic(builder.traffic)
-        .with_world_script(builder.script),
-    )
+    let controller = StaticNtxController::new(builder.static_ntx);
+    Box::new(builder.dimmer_config(cfg).build(controller))
 }
 
 fn build_dimmer_zoo<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 'a> {
@@ -395,20 +390,8 @@ fn build_dimmer_zoo<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 
     // `policy` override (which every harness passes for `dimmer-dqn`) is
     // deliberately ignored. The meta-controller's arm draws come from an
     // engine-external RNG derived from the builder seed.
-    let cfg = builder.normalized_config();
-    let controller = dimmer_core::ZooController::standard(cfg.clone());
-    Box::new(
-        RoundEngine::with_controller(
-            builder.topology,
-            builder.interference,
-            builder.lwb_config,
-            cfg,
-            controller,
-            builder.seed,
-        )
-        .with_traffic(builder.traffic)
-        .with_world_script(builder.script),
-    )
+    let controller = dimmer_core::ZooController::standard(builder.normalized_config());
+    Box::new(builder.build(controller))
 }
 
 fn build_crystal<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 'a> {
@@ -518,19 +501,61 @@ mod tests {
     }
 
     #[test]
+    fn calm_static_lwb_is_reliable_and_cheap() {
+        let topo = Topology::kiel_testbed_18(2);
+        let mut lwb = SimulationBuilder::new(&topo)
+            .seed(3)
+            .build_protocol("static")
+            .unwrap();
+        let reports = lwb.run_rounds(10);
+        let avg_rel: f64 = reports.iter().map(|r| r.reliability).sum::<f64>() / 10.0;
+        let avg_on: f64 = reports
+            .iter()
+            .map(|r| r.mean_radio_on.as_millis_f64())
+            .sum::<f64>()
+            / 10.0;
+        assert!(
+            avg_rel > 0.99,
+            "calm LWB should be highly reliable, got {avg_rel}"
+        );
+        assert!(
+            avg_on < 14.0,
+            "calm LWB radio-on should be well below the 20 ms budget, got {avg_on}"
+        );
+    }
+
+    #[test]
+    fn static_lwb_degrades_under_jamming() {
+        let topo = Topology::kiel_testbed_18(2);
+        let mut interference = dimmer_sim::CompositeInterference::new();
+        for j in dimmer_sim::PeriodicJammer::kiel_pair(0.35) {
+            interference.push(Box::new(j));
+        }
+        let mean_reliability = |interference: &dyn InterferenceModel| {
+            let mut lwb = SimulationBuilder::new(&topo)
+                .interference(interference)
+                .seed(5)
+                .build_protocol("static")
+                .unwrap();
+            let reports = lwb.run_rounds(8);
+            reports.iter().map(|r| r.reliability).sum::<f64>() / 8.0
+        };
+        let calm_rel = mean_reliability(&NoInterference);
+        let jam_rel = mean_reliability(&interference);
+        assert!(
+            jam_rel < calm_rel - 0.05,
+            "jamming must visibly hurt LWB ({calm_rel} vs {jam_rel})"
+        );
+    }
+
+    #[test]
     fn registry_can_be_extended_with_custom_protocols() {
         fn build_fixed<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 'a> {
             let cfg = builder.baseline_config();
             Box::new(
-                RoundEngine::with_controller(
-                    builder.topology,
-                    builder.interference,
-                    builder.lwb_config,
-                    cfg,
-                    StaticNtxController::new(5),
-                    builder.seed,
-                )
-                .with_traffic(builder.traffic),
+                builder
+                    .dimmer_config(cfg)
+                    .build(StaticNtxController::new(5)),
             )
         }
         let mut reg = ProtocolRegistry::standard();

@@ -30,9 +30,7 @@ use crate::summary::{
     mean_forwarders, phase_summaries, summarize, summary_metrics, ProtocolSummary,
 };
 use dimmer_baselines::SimulationBuilder;
-use dimmer_core::{
-    AdaptivityPolicy, DimmerConfig, DimmerRoundReport, DimmerRunner, GlobalView, StateBuilder,
-};
+use dimmer_core::{AdaptivityPolicy, DimmerConfig, DimmerRoundReport, GlobalView, StateBuilder};
 use dimmer_lwb::{LwbConfig, TrafficPattern};
 use dimmer_neural::{Mlp, QuantizedNetwork};
 use dimmer_rl::DqnConfig;
@@ -92,63 +90,6 @@ pub fn table1_summary(cfg: &DimmerConfig) -> Table1Summary {
         flash_bytes: quantized.flash_size_bytes(),
         ram_bytes: quantized.ram_size_bytes(),
         pretrained_shipped: dimmer_core::pretrained::has_pretrained_weights(),
-    }
-}
-
-/// One row of the Fig. 4b feature-selection tables.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig4bRow {
-    /// Mean per-slot radio-on time over the mixed evaluation scenario, ms.
-    pub radio_on_ms: f64,
-    /// Mean reliability over the mixed evaluation scenario.
-    pub reliability: f64,
-    /// Quantized network size, kB.
-    pub dqn_size_kb: f64,
-}
-
-/// Trains `models` fresh policies on `traces` under `cfg` and evaluates them
-/// on the mixed calm/25 %-jamming/calm scenario of Fig. 4b.
-pub fn fig4b_row(
-    cfg: &DimmerConfig,
-    traces: &TraceDataset,
-    models: usize,
-    iterations: usize,
-    eval_rounds: usize,
-) -> Fig4bRow {
-    assert!(models > 0, "need at least one model");
-    let topo = Topology::kiel_testbed_18(1);
-    let mut radio = 0.0;
-    let mut rel = 0.0;
-    let mut size = 0.0;
-    for model in 0..models {
-        let report = train_policy(
-            traces,
-            cfg,
-            &DqnConfig::quick().with_iterations(iterations),
-            1000 + model as u64,
-        );
-        size = QuantizedNetwork::from_mlp(&report.policy).flash_size_bytes() as f64 / 1024.0;
-        // Mixed evaluation scenario: calm then 25% jamming then calm.
-        for (duty, seed) in [(0.0, 11u64), (0.25, 12), (0.0, 13)] {
-            let interference = kiel_jamming(duty);
-            let mut runner = DimmerRunner::new(
-                &topo,
-                &interference,
-                LwbConfig::testbed_default(),
-                cfg.clone(),
-                report.quantized_policy(),
-                seed + model as u64,
-            );
-            let summary = summarize(&runner.run_rounds(eval_rounds));
-            radio += summary.radio_on_ms;
-            rel += summary.reliability;
-        }
-    }
-    let n = (models * 3) as f64;
-    Fig4bRow {
-        radio_on_ms: radio / n,
-        reliability: rel / n,
-        dqn_size_kb: size,
     }
 }
 
@@ -214,22 +155,6 @@ pub fn fig5_run(
     run_protocol(protocol, &topo, &interference, policy, rounds, seed)
 }
 
-/// The Fig. 6 forwarder-selection comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig6Summary {
-    /// Per-round reports of the run with forwarder selection enabled.
-    pub with_fs: Vec<DimmerRoundReport>,
-    /// Per-round reports of the all-forwarders reference run.
-    pub without_fs: Vec<DimmerRoundReport>,
-}
-
-impl Fig6Summary {
-    /// Mean number of active forwarders in the forwarder-selection run.
-    pub fn mean_forwarders(&self) -> f64 {
-        mean_forwarders(&self.with_fs)
-    }
-}
-
 /// Runs one Fig. 6 variant: the interference-free forwarder-selection
 /// scenario with Exp3 bandits either learning passive roles
 /// (`selection = true`) or disabled so every device keeps forwarding.
@@ -249,16 +174,6 @@ pub fn fig6_single(rounds: usize, seed: u64, selection: bool) -> Vec<DimmerRound
         // lint: allow(P001) -- "dimmer-rule" ships in the standard registry
         .expect("dimmer-rule is registered");
     sim.run_rounds(rounds)
-}
-
-/// Runs the interference-free forwarder-selection experiment (`fig6`):
-/// DQN deactivated, Exp3 bandits learning passive roles, next to the
-/// all-forwarders reference run.
-pub fn fig6_run(rounds: usize, seed: u64) -> Fig6Summary {
-    Fig6Summary {
-        with_fs: fig6_single(rounds, seed, true),
-        without_fs: fig6_single(rounds, seed, false),
-    }
 }
 
 /// Application-layer outcome of one Fig. 7 run.
@@ -396,15 +311,15 @@ pub fn fig4b_trial(
     let mut rel = 0.0;
     for (phase, duty) in [(0u64, 0.0), (1, 0.25), (2, 0.0)] {
         let interference = kiel_jamming(duty);
-        let mut runner = DimmerRunner::new(
-            &topo,
-            &interference,
-            LwbConfig::testbed_default(),
-            cfg.clone(),
-            report.quantized_policy(),
-            SimRng::split_seed(seed, phase),
-        );
-        let summary = summarize(&runner.run_rounds(eval_rounds));
+        let mut sim = SimulationBuilder::new(&topo)
+            .interference(&interference)
+            .dimmer_config(cfg.clone())
+            .policy(report.quantized_policy())
+            .seed(SimRng::split_seed(seed, phase))
+            .build_protocol("dimmer-dqn")
+            // lint: allow(P001) -- "dimmer-dqn" ships in the standard registry
+            .expect("dimmer-dqn is registered");
+        let summary = summarize(&sim.run_rounds(eval_rounds));
         radio += summary.radio_on_ms;
         rel += summary.reliability;
     }
@@ -1060,12 +975,12 @@ mod tests {
 
     #[test]
     fn fig6_selection_reduces_active_forwarders() {
-        let summary = fig6_run(120, 3);
-        assert_eq!(summary.with_fs.len(), 120);
+        let with_fs = fig6_single(120, 3, true);
+        assert_eq!(with_fs.len(), 120);
+        let forwarders = mean_forwarders(&with_fs);
         assert!(
-            summary.mean_forwarders() < 18.0,
-            "some devices should learn a passive role, got {}",
-            summary.mean_forwarders()
+            forwarders < 18.0,
+            "some devices should learn a passive role, got {forwarders}"
         );
     }
 }

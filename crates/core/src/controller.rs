@@ -149,9 +149,6 @@ pub trait Controller {
         None
     }
 
-    /// Clears any internal state so the controller can drive a fresh run.
-    fn reset(&mut self) {}
-
     /// Whether the engine should build the Table-I state vector for this
     /// controller's observations. Policies that only look at round-level
     /// metrics return `false` and skip that work on the hot path.
@@ -161,8 +158,8 @@ pub trait Controller {
 }
 
 /// Dimmer's coordinator policy as a [`Controller`]: executes the DQN (or the
-/// rule-based fallback) over the Table-I state vector, exactly as the
-/// `DimmerRunner` always did. Honors `DimmerConfig::adaptivity_enabled` —
+/// rule-based fallback) over the Table-I state vector the engine builds at
+/// the end of every round. Honors `DimmerConfig::adaptivity_enabled` —
 /// with the adaptivity disabled it holds `N_TX` constant (the Fig. 6
 /// forwarder-selection configuration).
 impl Controller for AdaptivityController {

@@ -6,8 +6,7 @@
 //! pipeline and the energy/reliability accounting, and is generic over the
 //! [`Controller`] that picks the next round's `N_TX`:
 //!
-//! * `RoundEngine<AdaptivityController>` is Dimmer — the
-//!   [`DimmerRunner`] alias with its legacy constructor is this engine,
+//! * `RoundEngine<AdaptivityController>` is Dimmer,
 //! * `RoundEngine<PidController>` is the tuned PI(D) baseline,
 //! * `RoundEngine<StaticNtxController>` is static LWB,
 //! * `RoundEngine<CrystalControl>` drives Crystal epochs through an
@@ -34,7 +33,6 @@
 //! The heterogeneous [`Simulation`] facade erases the controller type so
 //! registries and experiment grids can hold any protocol behind one object.
 
-use crate::adaptivity::{AdaptivityController, AdaptivityPolicy};
 use crate::config::DimmerConfig;
 use crate::controller::{ControlDecision, Controller, RoundObservation};
 use crate::forwarder::ForwarderSelection;
@@ -189,57 +187,35 @@ pub struct RoundEngine<'a, C: Controller> {
     rounds_run: u64,
 }
 
-/// The Dimmer protocol runner: the [`RoundEngine`] driven by the
-/// [`AdaptivityController`] (kept under its historical name).
-///
-/// # Examples
-///
-/// ```
-/// use dimmer_core::{DimmerConfig, DimmerRunner, AdaptivityPolicy};
-/// use dimmer_lwb::LwbConfig;
-/// use dimmer_sim::{Topology, NoInterference};
-///
-/// let topo = Topology::kiel_testbed_18(3);
-/// let mut runner = DimmerRunner::new(
-///     &topo,
-///     &NoInterference,
-///     LwbConfig::testbed_default(),
-///     DimmerConfig::default(),
-///     AdaptivityPolicy::rule_based(),
-///     1,
-/// );
-/// let reports = runner.run_rounds(5);
-/// assert_eq!(reports.len(), 5);
-/// ```
-pub type DimmerRunner<'a> = RoundEngine<'a, AdaptivityController>;
-
-impl<'a> DimmerRunner<'a> {
-    /// Creates the Dimmer runner over `topology` and `interference` with
-    /// all-to-all broadcast traffic: the engine with an
-    /// [`AdaptivityController`] executing `policy` under `config`.
-    pub fn new(
-        topology: &'a Topology,
-        interference: &'a dyn InterferenceModel,
-        lwb_config: LwbConfig,
-        config: DimmerConfig,
-        policy: AdaptivityPolicy,
-        seed: u64,
-    ) -> Self {
-        let controller = AdaptivityController::new(policy, config.clone());
-        RoundEngine::with_controller(topology, interference, lwb_config, config, controller, seed)
-    }
-
-    /// Convenience access to the action the internal policy would take for
-    /// the current view and `N_TX` (without applying it).
-    pub fn peek_action(&self) -> crate::AdaptivityAction {
-        self.controller().decide(&self.current_state())
-    }
-}
-
 impl<'a, C: Controller> RoundEngine<'a, C> {
     /// Creates an engine running the LWB round loop over `topology` and
     /// `interference` with all-to-all broadcast traffic, driven by
     /// `controller`.
+    ///
+    /// # Examples
+    ///
+    /// Dimmer is the engine driven by the
+    /// [`AdaptivityController`](crate::AdaptivityController):
+    ///
+    /// ```
+    /// use dimmer_core::{AdaptivityController, AdaptivityPolicy, DimmerConfig, RoundEngine};
+    /// use dimmer_lwb::LwbConfig;
+    /// use dimmer_sim::{NoInterference, Topology};
+    ///
+    /// let topo = Topology::kiel_testbed_18(3);
+    /// let config = DimmerConfig::default();
+    /// let controller = AdaptivityController::new(AdaptivityPolicy::rule_based(), config.clone());
+    /// let mut engine = RoundEngine::with_controller(
+    ///     &topo,
+    ///     &NoInterference,
+    ///     LwbConfig::testbed_default(),
+    ///     config,
+    ///     controller,
+    ///     1,
+    /// );
+    /// let reports = engine.run_rounds(5);
+    /// assert_eq!(reports.len(), 5);
+    /// ```
     pub fn with_controller(
         topology: &'a Topology,
         interference: &'a dyn InterferenceModel,
@@ -430,16 +406,12 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
     }
 
     /// Applies an external adaptivity decision instead of the controller for
-    /// the *next* round (used by the legacy baseline shims and by the
-    /// trace-collection pipeline). No effect on epoch-driven protocols,
-    /// whose drivers steer their own retransmissions.
+    /// the *next* round (used by [`SimEnvironment`](crate::SimEnvironment),
+    /// which lets the learning agent pick every round's `N_TX`). No effect
+    /// on epoch-driven protocols, whose drivers steer their own
+    /// retransmissions.
     pub fn force_ntx(&mut self, ntx: u8) {
         self.ntx = ntx.clamp(self.config.n_min, self.config.n_max);
-    }
-
-    /// Resets the controller's internal state (see [`Controller::reset`]).
-    pub fn reset_controller(&mut self) {
-        self.controller.reset();
     }
 
     /// The Table-I state vector the policy sees for the current view and
@@ -845,20 +817,32 @@ impl<C: Controller> Simulation for RoundEngine<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptivity::{AdaptivityController, AdaptivityPolicy};
     use crate::controller::StaticNtxController;
     use dimmer_sim::{NoInterference, PeriodicJammer, ScheduledInterference};
+
+    /// Dimmer with the rule-based policy under `config`.
+    fn rule_engine<'a>(
+        topo: &'a Topology,
+        interference: &'a dyn InterferenceModel,
+        lwb_config: LwbConfig,
+        config: DimmerConfig,
+        seed: u64,
+    ) -> RoundEngine<'a, AdaptivityController> {
+        let controller = AdaptivityController::new(AdaptivityPolicy::rule_based(), config.clone());
+        RoundEngine::with_controller(topo, interference, lwb_config, config, controller, seed)
+    }
 
     fn calm_runner<'a>(
         topo: &'a Topology,
         interference: &'a dyn InterferenceModel,
         seed: u64,
-    ) -> DimmerRunner<'a> {
-        DimmerRunner::new(
+    ) -> RoundEngine<'a, AdaptivityController> {
+        rule_engine(
             topo,
             interference,
             LwbConfig::testbed_default(),
             DimmerConfig::default(),
-            AdaptivityPolicy::rule_based(),
             seed,
         )
     }
@@ -926,14 +910,7 @@ mod tests {
     fn forwarder_selection_disabled_keeps_adaptivity_mode() {
         let topo = Topology::kiel_testbed_18(2);
         let cfg = DimmerConfig::dcube();
-        let mut runner = DimmerRunner::new(
-            &topo,
-            &NoInterference,
-            LwbConfig::testbed_default(),
-            cfg,
-            AdaptivityPolicy::rule_based(),
-            7,
-        );
+        let mut runner = rule_engine(&topo, &NoInterference, LwbConfig::testbed_default(), cfg, 7);
         let reports = runner.run_rounds(20);
         assert!(reports.iter().all(|r| r.mode == RoundMode::Adaptivity));
     }
@@ -968,15 +945,7 @@ mod tests {
         let make_runner = |acks: bool, seed: u64| {
             let mut c = cfg.clone();
             c.acknowledgements = acks;
-            DimmerRunner::new(
-                &topo,
-                &interference,
-                lwb.clone(),
-                c,
-                AdaptivityPolicy::rule_based(),
-                seed,
-            )
-            .with_traffic(traffic.clone())
+            rule_engine(&topo, &interference, lwb.clone(), c, seed).with_traffic(traffic.clone())
         };
         let mut with_acks = make_runner(true, 4);
         let mut without_acks = make_runner(false, 4);

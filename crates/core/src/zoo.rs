@@ -287,16 +287,6 @@ impl Controller for ZooController {
         decision
     }
 
-    fn reset(&mut self) {
-        self.exp3.reset();
-        self.rounds_in_window = 0;
-        self.reward_sum = 0.0;
-        self.window_losses = 0;
-        self.shield_rounds = 0;
-        self.shield_hold = self.window;
-        self.rounds_since_loss = usize::MAX;
-    }
-
     fn wants_state(&self) -> bool {
         self.config.adaptivity_enabled
     }

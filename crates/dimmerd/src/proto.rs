@@ -14,7 +14,9 @@
 //! | `shutdown` | —                               | `state: "draining"`                 |
 //!
 //! A full queue answers `submit` with `{"ok":false,"error":"busy"}` —
-//! explicit load-shedding instead of unbounded buffering. Reports are
+//! explicit load-shedding instead of unbounded buffering. `status` and
+//! `result` answer `expired` for a finished job the daemon has forgotten
+//! (it keeps the last 1024) and `unknown job` for an id it never issued. Reports are
 //! multi-line pretty-printed JSON, so they travel as an *escaped JSON
 //! string*; unescaping yields bytes identical to what the same scenario
 //! writes through `--json` offline.

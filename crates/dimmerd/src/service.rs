@@ -54,6 +54,11 @@ impl Default for DaemonConfig {
     }
 }
 
+/// Finished (`done`/`failed`) jobs the daemon remembers; past this, the
+/// oldest finished job is forgotten and its id answers `expired`. Queued
+/// and running jobs are never forgotten.
+const FINISHED_JOB_LIMIT: usize = 1024;
+
 /// Lifecycle of one submitted job.
 #[derive(Debug, Clone)]
 enum JobState {
@@ -69,12 +74,15 @@ struct Counters {
     completed: u64,
     failed: u64,
     busy_rejections: u64,
+    expired_jobs: u64,
 }
 
 #[derive(Debug)]
 struct State {
     queue: VecDeque<u64>,
     jobs: BTreeMap<u64, JobState>,
+    /// Finished job ids, oldest first; bounded by [`FINISHED_JOB_LIMIT`].
+    finished: VecDeque<u64>,
     next_job: u64,
     memo: MemoCache,
     worlds: WorldCache,
@@ -83,6 +91,31 @@ struct State {
     running: usize,
     draining: bool,
     stopped: bool,
+}
+
+impl State {
+    /// Publishes a finished job, forgetting the oldest finished one once
+    /// more than [`FINISHED_JOB_LIMIT`] are held.
+    fn finish(&mut self, job: u64, outcome: JobState) {
+        self.jobs.insert(job, outcome);
+        self.finished.push_back(job);
+        if self.finished.len() > FINISHED_JOB_LIMIT {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.jobs.remove(&oldest);
+                self.counters.expired_jobs += 1;
+            }
+        }
+    }
+
+    /// The error for a job id that is not in the table: issued ids were
+    /// forgotten (`expired`), others were never issued.
+    fn missing_job(&self, job: u64) -> &'static str {
+        if (1..self.next_job).contains(&job) {
+            "expired"
+        } else {
+            "unknown job"
+        }
+    }
 }
 
 /// The shared daemon service. Cloneable handle (`Arc` inside); spawn the
@@ -109,6 +142,7 @@ impl Daemon {
                 state: Mutex::new(State {
                     queue: VecDeque::new(),
                     jobs: BTreeMap::new(),
+                    finished: VecDeque::new(),
                     next_job: 1,
                     memo: MemoCache::new(config.memo_budget_bytes),
                     worlds: WorldCache::new(),
@@ -191,11 +225,11 @@ impl Daemon {
         let mut state = self.lock();
         match outcome {
             Ok(report) => {
-                state.jobs.insert(job, JobState::Done(report));
+                state.finish(job, JobState::Done(report));
                 state.counters.completed += 1;
             }
             Err(message) => {
-                state.jobs.insert(job, JobState::Failed(message));
+                state.finish(job, JobState::Failed(message));
                 state.counters.failed += 1;
             }
         }
@@ -259,7 +293,7 @@ impl Daemon {
         if let Some(report) = state.memo.get(hash, seed) {
             let job = state.next_job;
             state.next_job += 1;
-            state.jobs.insert(job, JobState::Done(report));
+            state.finish(job, JobState::Done(report));
             state.counters.submitted += 1;
             state.counters.completed += 1;
             return ok_reply(vec![
@@ -286,7 +320,7 @@ impl Daemon {
     fn status(&self, job: u64) -> String {
         let state = self.lock();
         let label = match state.jobs.get(&job) {
-            None => return error_reply("unknown job"),
+            None => return error_reply(state.missing_job(job)),
             Some(JobState::Queued(_)) => "queued",
             Some(JobState::Running) => "running",
             Some(JobState::Done(_)) => "done",
@@ -301,7 +335,7 @@ impl Daemon {
     fn result(&self, job: u64) -> String {
         let state = self.lock();
         match state.jobs.get(&job) {
-            None => error_reply("unknown job"),
+            None => error_reply(state.missing_job(job)),
             Some(JobState::Queued(_)) | Some(JobState::Running) => error_reply("not-ready"),
             Some(JobState::Failed(message)) => error_reply(&format!("job failed: {message}")),
             Some(JobState::Done(report)) => ok_reply(vec![
@@ -322,6 +356,10 @@ impl Daemon {
             (
                 "busy_rejections".to_string(),
                 Json::Int(state.counters.busy_rejections),
+            ),
+            (
+                "expired_jobs".to_string(),
+                Json::Int(state.counters.expired_jobs),
             ),
             ("queue_len".to_string(), Json::Int(state.queue.len() as u64)),
             ("memo_hits".to_string(), Json::Int(memo.hits)),
@@ -448,6 +486,72 @@ mod tests {
             result.get("error").and_then(Json::as_str),
             Some("not-ready")
         );
+    }
+
+    #[test]
+    fn finished_jobs_beyond_the_limit_expire_oldest_first() {
+        let d = daemon(4);
+        let executor = d.spawn_executor();
+        let submit = r#"{"cmd":"submit","spec":{"grid":"table1"}}"#;
+        let first = submit_line(&d, submit);
+        d.wait_for_job(first.get("job").and_then(Json::as_u64).unwrap());
+        // The run left a memo entry: every resubmission is an instant hit.
+        let mut hits = Vec::new();
+        for _ in 0..=FINISHED_JOB_LIMIT {
+            let reply = submit_line(&d, submit);
+            assert_eq!(reply.get("state").and_then(Json::as_str), Some("done"));
+            hits.push(reply.get("job").and_then(Json::as_u64).unwrap());
+        }
+        let error = |line: String| {
+            let reply = submit_line(&d, &line);
+            reply
+                .get("error")
+                .and_then(Json::as_str)
+                .map(str::to_string)
+        };
+        let (oldest, newest) = (hits[0], hits[FINISHED_JOB_LIMIT]);
+        assert_eq!(
+            error(format!(r#"{{"cmd":"status","job":{oldest}}}"#)).as_deref(),
+            Some("expired")
+        );
+        assert_eq!(
+            error(format!(r#"{{"cmd":"result","job":{oldest}}}"#)).as_deref(),
+            Some("expired")
+        );
+        let status = submit_line(&d, &format!(r#"{{"cmd":"status","job":{newest}}}"#));
+        assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
+        let unissued = newest + 1;
+        assert_eq!(
+            error(format!(r#"{{"cmd":"status","job":{unissued}}}"#)).as_deref(),
+            Some("unknown job")
+        );
+        // The executed job and the first hit were forgotten.
+        let stats = submit_line(&d, r#"{"cmd":"stats"}"#);
+        assert_eq!(stats.get("expired_jobs").and_then(Json::as_u64), Some(2));
+        d.handle_line(r#"{"cmd":"shutdown"}"#);
+        executor.join().unwrap();
+    }
+
+    #[test]
+    fn queued_jobs_never_expire() {
+        // No executor: the seed-9 job stays queued while memo hits churn
+        // through the finished-job table.
+        let d = daemon(4);
+        let queued = submit_line(&d, r#"{"cmd":"submit","spec":{"grid":"table1","seed":9}}"#);
+        let queued = queued.get("job").and_then(Json::as_u64).unwrap();
+        let submit = r#"{"cmd":"submit","spec":{"grid":"table1"}}"#;
+        let Ok(Request::Submit(spec)) = crate::proto::parse_request(submit) else {
+            panic!("a submit request");
+        };
+        let (hash, seed) = (spec.hash().unwrap(), spec.resolved_seed().unwrap());
+        d.lock().memo.insert(hash, seed, Arc::new("{}".to_string()));
+        for _ in 0..FINISHED_JOB_LIMIT + 8 {
+            submit_line(&d, submit);
+        }
+        let status = submit_line(&d, &format!(r#"{{"cmd":"status","job":{queued}}}"#));
+        assert_eq!(status.get("state").and_then(Json::as_str), Some("queued"));
+        let stats = submit_line(&d, r#"{"cmd":"stats"}"#);
+        assert_eq!(stats.get("expired_jobs").and_then(Json::as_u64), Some(8));
     }
 
     #[test]

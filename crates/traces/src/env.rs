@@ -114,8 +114,8 @@ impl TraceEnvironment {
     }
 
     /// Routes the recorded outcome at `position` (under the current `N_TX`)
-    /// through the coordinator's observation pipeline, mirroring
-    /// `DimmerRunner::run_round` step by step: nodes share the feedback they
+    /// through the coordinator's observation pipeline, mirroring the LWB
+    /// round of `RoundEngine::run_round` step by step: nodes share the feedback they
     /// computed *before* this round, a node's feedback only reaches the
     /// coordinator if its data flood did, and undelivered entries age towards
     /// pessimistic values.

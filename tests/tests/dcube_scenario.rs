@@ -2,11 +2,12 @@
 //! aperiodic collection, WiFi interference, Dimmer with ACKs + hopping,
 //! plain LWB and Crystal.
 
-use dimmer_baselines::{CrystalConfig, CrystalRunner, StaticLwbRunner};
-use dimmer_core::{AdaptivityPolicy, DimmerConfig, DimmerRunner};
+use dimmer_baselines::{CrystalConfig, CrystalRunner, SimulationBuilder};
+use dimmer_core::{DimmerConfig, Simulation};
 use dimmer_lwb::{LwbConfig, TrafficPattern};
 use dimmer_sim::{
-    NoInterference, NodeId, SimDuration, SimRng, Topology, WifiInterference, WifiLevel,
+    InterferenceModel, NoInterference, NodeId, SimDuration, SimRng, Topology, WifiInterference,
+    WifiLevel,
 };
 
 const ROUNDS: usize = 120;
@@ -15,30 +16,53 @@ fn collection(topo: &Topology) -> TrafficPattern {
     TrafficPattern::dcube_collection(topo.num_nodes(), 5, topo.coordinator())
 }
 
+/// Static LWB (`N_TX = 3`) on the collection workload.
+fn static_lwb<'a>(
+    topo: &'a Topology,
+    interference: &'a dyn InterferenceModel,
+    lwb_config: LwbConfig,
+    seed: u64,
+) -> Box<dyn Simulation + 'a> {
+    SimulationBuilder::new(topo)
+        .interference(interference)
+        .lwb_config(lwb_config)
+        .traffic(collection(topo))
+        .seed(seed)
+        .build_protocol("static")
+        .unwrap()
+}
+
+/// Dimmer (rule-based policy) with ACKs and channel hopping on the
+/// collection workload.
+fn dimmer<'a>(
+    topo: &'a Topology,
+    interference: &'a dyn InterferenceModel,
+    seed: u64,
+) -> Box<dyn Simulation + 'a> {
+    SimulationBuilder::new(topo)
+        .interference(interference)
+        .lwb_config(LwbConfig::dcube_default())
+        .dimmer_config(DimmerConfig::dcube())
+        .traffic(collection(topo))
+        .seed(seed)
+        .build_protocol("dimmer-rule")
+        .unwrap()
+}
+
 #[test]
 fn dimmer_outperforms_plain_lwb_under_wifi_level_2() {
     let topo = Topology::dcube_48(3);
     let wifi = WifiInterference::new(WifiLevel::Level2, 1);
 
-    let mut lwb = StaticLwbRunner::new(
+    let mut lwb = static_lwb(
         &topo,
         &wifi,
         LwbConfig::dcube_default().with_channel_hopping(false),
-        3,
         5,
-    )
-    .with_traffic(collection(&topo));
+    );
     lwb.run_rounds(ROUNDS);
 
-    let mut dimmer = DimmerRunner::new(
-        &topo,
-        &wifi,
-        LwbConfig::dcube_default(),
-        DimmerConfig::dcube(),
-        AdaptivityPolicy::rule_based(),
-        5,
-    )
-    .with_traffic(collection(&topo));
+    let mut dimmer = dimmer(&topo, &wifi, 5);
     dimmer.run_rounds(ROUNDS);
 
     assert!(
@@ -93,20 +117,11 @@ fn crystal_is_reliable_but_energy_hungry_under_interference() {
 #[test]
 fn without_interference_everyone_delivers_everything() {
     let topo = Topology::dcube_48(4);
-    let mut dimmer = DimmerRunner::new(
-        &topo,
-        &NoInterference,
-        LwbConfig::dcube_default(),
-        DimmerConfig::dcube(),
-        AdaptivityPolicy::rule_based(),
-        6,
-    )
-    .with_traffic(collection(&topo));
+    let mut dimmer = dimmer(&topo, &NoInterference, 6);
     dimmer.run_rounds(ROUNDS);
     assert!(dimmer.app_reliability() > 0.99);
 
-    let mut lwb = StaticLwbRunner::new(&topo, &NoInterference, LwbConfig::dcube_default(), 3, 6)
-        .with_traffic(collection(&topo));
+    let mut lwb = static_lwb(&topo, &NoInterference, LwbConfig::dcube_default(), 6);
     lwb.run_rounds(ROUNDS);
     assert!(lwb.app_reliability() > 0.98);
 }

@@ -1,11 +1,42 @@
 //! End-to-end integration tests spanning the whole stack: simulator →
 //! Glossy → LWB → Dimmer protocol → baselines.
 
-use dimmer_baselines::{PidController, PidRunner, StaticLwbRunner};
-use dimmer_core::{AdaptivityPolicy, DimmerConfig, DimmerRunner, RoundMode};
+use dimmer_baselines::{PidController, SimulationBuilder};
+use dimmer_core::{
+    AdaptivityController, AdaptivityPolicy, DimmerConfig, RoundEngine, RoundMode, Simulation,
+};
 use dimmer_integration::jamming;
-use dimmer_lwb::LwbConfig;
-use dimmer_sim::{NoInterference, SimDuration, Topology};
+use dimmer_sim::{InterferenceModel, NoInterference, SimDuration, Topology};
+
+/// The registry protocol `name` on `topo` under `interference`.
+fn protocol<'a>(
+    name: &str,
+    topo: &'a Topology,
+    interference: &'a dyn InterferenceModel,
+    seed: u64,
+) -> Box<dyn Simulation + 'a> {
+    SimulationBuilder::new(topo)
+        .interference(interference)
+        .seed(seed)
+        .build_protocol(name)
+        .unwrap()
+}
+
+/// Dimmer with the rule-based policy under `cfg`, typed so tests can steer
+/// its `N_TX`.
+fn rule_dimmer<'a>(
+    topo: &'a Topology,
+    interference: &'a dyn InterferenceModel,
+    cfg: DimmerConfig,
+    seed: u64,
+) -> RoundEngine<'a, AdaptivityController> {
+    let controller = AdaptivityController::new(AdaptivityPolicy::rule_based(), cfg.clone());
+    SimulationBuilder::new(topo)
+        .interference(interference)
+        .dimmer_config(cfg)
+        .seed(seed)
+        .build(controller)
+}
 
 #[test]
 fn dimmer_beats_static_lwb_under_heavy_jamming() {
@@ -13,7 +44,7 @@ fn dimmer_beats_static_lwb_under_heavy_jamming() {
     let interference = jamming(0.35);
     let rounds = 40;
 
-    let mut lwb = StaticLwbRunner::new(&topo, &interference, LwbConfig::testbed_default(), 3, 7);
+    let mut lwb = protocol("static", &topo, &interference, 7);
     let lwb_rel: f64 = lwb
         .run_rounds(rounds)
         .iter()
@@ -21,14 +52,7 @@ fn dimmer_beats_static_lwb_under_heavy_jamming() {
         .sum::<f64>()
         / rounds as f64;
 
-    let mut dimmer = DimmerRunner::new(
-        &topo,
-        &interference,
-        LwbConfig::testbed_default(),
-        DimmerConfig::default(),
-        AdaptivityPolicy::rule_based(),
-        7,
-    );
+    let mut dimmer = protocol("dimmer-rule", &topo, &interference, 7);
     let dimmer_rel: f64 = dimmer
         .run_rounds(rounds)
         .iter()
@@ -51,28 +75,8 @@ fn all_protocols_are_nearly_perfect_without_interference() {
     let topo = Topology::kiel_testbed_18(2);
     let rounds = 20;
 
-    let mut lwb = StaticLwbRunner::new(&topo, &NoInterference, LwbConfig::testbed_default(), 3, 3);
-    let mut dimmer = DimmerRunner::new(
-        &topo,
-        &NoInterference,
-        LwbConfig::testbed_default(),
-        DimmerConfig::default(),
-        AdaptivityPolicy::rule_based(),
-        3,
-    );
-    let mut pid = PidRunner::new(
-        &topo,
-        &NoInterference,
-        LwbConfig::testbed_default(),
-        PidController::paper_pi(),
-        3,
-    );
-
-    for reports in [
-        lwb.run_rounds(rounds),
-        dimmer.run_rounds(rounds),
-        pid.run_rounds(rounds),
-    ] {
+    for name in ["static", "dimmer-rule", "pid"] {
+        let reports = protocol(name, &topo, &NoInterference, 3).run_rounds(rounds);
         let rel: f64 = reports.iter().map(|r| r.reliability).sum::<f64>() / rounds as f64;
         assert!(rel > 0.98, "calm reliability should exceed 98%, got {rel}");
         let on: f64 = reports
@@ -106,24 +110,18 @@ fn adaptive_protocols_track_a_dynamic_interference_scenario() {
     // carry the controller state across phases.
     let mut dimmer_ntx = 3;
     let mut pid_controller = PidController::paper_pi();
+    // The configuration the registry's "pid" entry runs under.
+    let mut pid_config = DimmerConfig::default().without_adaptivity();
+    pid_config.forwarder.enabled = false;
     for (duty, len) in phases {
         let interference = jamming(duty);
-        let mut d = DimmerRunner::new(
-            &topo,
-            &interference,
-            LwbConfig::testbed_default(),
-            DimmerConfig::default(),
-            AdaptivityPolicy::rule_based(),
-            11,
-        );
+        let mut d = rule_dimmer(&topo, &interference, DimmerConfig::default(), 11);
         d.force_ntx(dimmer_ntx);
-        let mut p = PidRunner::new(
-            &topo,
-            &interference,
-            LwbConfig::testbed_default(),
-            pid_controller.clone(),
-            11,
-        );
+        let mut p = SimulationBuilder::new(&topo)
+            .interference(&interference)
+            .dimmer_config(pid_config.clone())
+            .seed(11)
+            .build(pid_controller.clone());
         for _ in 0..len {
             let rd = d.run_round();
             dimmer_rel += rd.reliability;
@@ -162,25 +160,11 @@ fn forwarder_selection_saves_energy_without_hurting_reliability() {
 
     let mut cfg = DimmerConfig::default().without_adaptivity();
     cfg.forwarder.calm_rounds_threshold = 1;
-    let mut with_fs = DimmerRunner::new(
-        &topo,
-        &NoInterference,
-        LwbConfig::testbed_default(),
-        cfg,
-        AdaptivityPolicy::rule_based(),
-        9,
-    );
+    let mut with_fs = rule_dimmer(&topo, &NoInterference, cfg, 9);
 
     let mut no_fs_cfg = DimmerConfig::default().without_adaptivity();
     no_fs_cfg.forwarder.enabled = false;
-    let mut without_fs = DimmerRunner::new(
-        &topo,
-        &NoInterference,
-        LwbConfig::testbed_default(),
-        no_fs_cfg,
-        AdaptivityPolicy::rule_based(),
-        9,
-    );
+    let mut without_fs = rule_dimmer(&topo, &NoInterference, no_fs_cfg, 9);
 
     let fs_reports = with_fs.run_rounds(rounds);
     let base_reports = without_fs.run_rounds(rounds);
@@ -220,17 +204,7 @@ fn forwarder_selection_saves_energy_without_hurting_reliability() {
 fn the_whole_stack_is_deterministic() {
     let topo = Topology::kiel_testbed_18(6);
     let interference = jamming(0.15);
-    let run = || {
-        let mut runner = DimmerRunner::new(
-            &topo,
-            &interference,
-            LwbConfig::testbed_default(),
-            DimmerConfig::default(),
-            AdaptivityPolicy::rule_based(),
-            1234,
-        );
-        runner.run_rounds(15)
-    };
+    let run = || protocol("dimmer-rule", &topo, &interference, 1234).run_rounds(15);
     assert_eq!(run(), run());
 }
 
@@ -239,14 +213,7 @@ fn radio_on_time_is_always_within_the_slot_budget() {
     let topo = Topology::kiel_testbed_18(8);
     for duty in [0.0, 0.10, 0.35] {
         let interference = jamming(duty);
-        let mut runner = DimmerRunner::new(
-            &topo,
-            &interference,
-            LwbConfig::testbed_default(),
-            DimmerConfig::default(),
-            AdaptivityPolicy::rule_based(),
-            2,
-        );
+        let mut runner = protocol("dimmer-rule", &topo, &interference, 2);
         for report in runner.run_rounds(12) {
             assert!(report.mean_radio_on <= SimDuration::from_millis(20));
         }

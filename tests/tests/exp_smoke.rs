@@ -5,10 +5,11 @@
 //! registry names, exactly as `exp --protocols` does.
 
 use dimmer_bench::experiments::{
-    dynamics_run, fig4b_row, fig4c_dimmer, fig4c_pid, fig5_run, fig6_run, fig6_single, fig7_run,
+    dynamics_run, fig4b_trial, fig4c_dimmer, fig4c_pid, fig5_run, fig6_single, fig7_run,
     table1_summary, Fig7Scenario, DCUBE_PROTOCOLS, DYNAMICS_PROTOCOLS, TESTBED_PROTOCOLS,
 };
 use dimmer_bench::scenarios::DYNAMIC_SCENARIOS;
+use dimmer_bench::summary::mean_forwarders;
 use dimmer_core::{AdaptivityPolicy, DimmerConfig};
 use dimmer_sim::Topology;
 use dimmer_traces::TraceCollector;
@@ -34,16 +35,20 @@ fn exp_table1_summary_is_complete() {
 }
 
 #[test]
-fn exp_fig4b_row_trains_and_evaluates() {
+fn exp_fig4b_trial_trains_and_evaluates() {
     let topo = Topology::kiel_testbed_18(1);
     let traces = TraceCollector::new(&topo, 21)
         .with_sweep(vec![0.0, 0.25], 3)
         .collect(12);
     let cfg = DimmerConfig::default();
-    let row = fig4b_row(&cfg, &traces, 1, 300, 5);
-    assert_summary_sane(row.reliability, "fig4b");
-    assert!(row.radio_on_ms.is_finite() && row.radio_on_ms > 0.0);
-    assert!(row.dqn_size_kb > 0.0);
+    let trial = fig4b_trial(&cfg, &traces, 300, 5, 1000);
+    let metric = |name: &str| {
+        let (_, value) = trial.entries().iter().find(|(n, _)| n == name).unwrap();
+        *value
+    };
+    assert_summary_sane(metric("reliability"), "fig4b");
+    assert!(metric("radio_on_ms").is_finite() && metric("radio_on_ms") > 0.0);
+    assert!(metric("dqn_size_kb") > 0.0);
 }
 
 #[test]
@@ -85,25 +90,19 @@ fn exp_fig5_static_protocol_never_adapts() {
 }
 
 #[test]
-fn exp_fig6_run_tracks_forwarders() {
-    let summary = fig6_run(30, 3);
-    assert_eq!(summary.with_fs.len(), 30);
-    assert_eq!(summary.without_fs.len(), 30);
-    let fwd = summary.mean_forwarders();
+fn exp_fig6_single_tracks_forwarders() {
+    let with_fs = fig6_single(30, 3, true);
+    let without_fs = fig6_single(30, 3, false);
+    assert_eq!(with_fs.len(), 30);
+    assert_eq!(without_fs.len(), 30);
+    let fwd = mean_forwarders(&with_fs);
     assert!(fwd.is_finite() && fwd > 0.0 && fwd <= 18.0);
-    for r in &summary.without_fs {
+    for r in &without_fs {
         assert_eq!(
             r.active_forwarders, 18,
             "reference run keeps everyone forwarding"
         );
     }
-}
-
-#[test]
-fn fig6_single_variants_match_the_combined_run() {
-    let combined = fig6_run(12, 3);
-    assert_eq!(fig6_single(12, 3, true), combined.with_fs);
-    assert_eq!(fig6_single(12, 3, false), combined.without_fs);
 }
 
 #[test]
