@@ -526,6 +526,7 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
         // destination was served; isolated transient misses do not push the
         // network back into all-forwarders mode.
         let calm = reliability >= 0.995;
+        let mean_radio_on = round.mean_radio_on_per_slot();
         lwb.calm_rounds = if calm { lwb.calm_rounds + 1 } else { 0 };
 
         // 7. Application-layer delivery tracking (ACK mode).
@@ -570,7 +571,7 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
             ntx: self.ntx,
             reliability,
             losses,
-            mean_radio_on: round.mean_radio_on_per_slot(),
+            mean_radio_on,
             energy_joules: energy,
             alive_nodes: self.world.alive_count(),
             failed_nodes: update.failed,
@@ -593,7 +594,7 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
                 NtxAssignment::PerNode(_) => self.ntx,
             },
             reliability,
-            mean_radio_on: round.mean_radio_on_per_slot(),
+            mean_radio_on,
             losses,
             reward: round_reward,
             active_forwarders,

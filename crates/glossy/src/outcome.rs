@@ -142,15 +142,16 @@ impl FloodOutcome {
 
     /// Average radio-on time over all participating nodes.
     pub fn mean_radio_on(&self) -> SimDuration {
-        let participants: Vec<_> = self.per_node.iter().filter(|o| o.participated).collect();
-        if participants.is_empty() {
+        let mut participants = 0u64;
+        let mut total = 0u64;
+        for o in self.per_node.iter().filter(|o| o.participated) {
+            participants += 1;
+            total += o.radio.on_time().as_micros();
+        }
+        if participants == 0 {
             return SimDuration::ZERO;
         }
-        let total: u64 = participants
-            .iter()
-            .map(|o| o.radio.on_time().as_micros())
-            .sum();
-        SimDuration::from_micros(total / participants.len() as u64)
+        SimDuration::from_micros(total / participants)
     }
 }
 

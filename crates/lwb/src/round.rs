@@ -161,12 +161,18 @@ impl RoundOutcome {
     /// received (its local packet-reception rate for this round). Returns
     /// 1.0 if there were no such slots.
     pub fn node_reception_ratio(&self, node: NodeId) -> f64 {
-        let relevant: Vec<_> = self.data.iter().filter(|s| s.source != node).collect();
-        if relevant.is_empty() {
+        let mut relevant = 0usize;
+        let mut got = 0usize;
+        for s in self.data.iter().filter(|s| s.source != node) {
+            relevant += 1;
+            if s.flood.received(node) {
+                got += 1;
+            }
+        }
+        if relevant == 0 {
             return 1.0;
         }
-        let got = relevant.iter().filter(|s| s.flood.received(node)).count();
-        got as f64 / relevant.len() as f64
+        got as f64 / relevant as f64
     }
 
     /// The radio-on time of `node`, averaged over the round's data slots

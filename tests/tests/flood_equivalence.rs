@@ -191,6 +191,107 @@ fn flood_duration_and_outcome_shape_are_preserved() {
     assert!(out.duration() > SimDuration::ZERO);
 }
 
+#[test]
+fn kernels_agree_at_bitset_word_boundaries() {
+    // The kernel keeps node sets in 64-bit words; worlds one node either
+    // side of one and two full words put receivers, transmitters, passive
+    // nodes and masked-out nodes on every boundary bit.
+    let jam = PeriodicJammer::with_duty_cycle(Position::new(20.0, 20.0), 0.3);
+    for n in [63usize, 64, 65, 127, 128, 129] {
+        // A dense 30 m square (many concurrent transmitters, dense-row
+        // gathers) and a multi-hop 80 m square (in-CSR gathers).
+        for (k, side) in [30.0, 80.0].into_iter().enumerate() {
+            let topo = Topology::random(n, side, side, n as u64 + k as u64);
+            let mut per_node: Vec<u8> = (0..n).map(|i| ((i * 7 + k) % 9) as u8).collect();
+            for passive in [62, 63, 64, 127, 128] {
+                if passive < n {
+                    per_node[passive] = 0;
+                }
+            }
+            let cfg = GlossyConfig::default().with_ntx(NtxAssignment::PerNode(per_node));
+            let mut fast = FloodSimulator::new(&topo, &jam);
+            let slow = ReferenceFloodSimulator::new(&topo, &jam);
+            for seed in 0..4u64 {
+                let participants: Vec<bool> = (0..n).map(|i| (i as u64 + seed) % 5 != 2).collect();
+                let alive: Vec<bool> = (0..n).map(|i| (i as u64 * 3 + seed) % 7 != 4).collect();
+                let Some(initiator) = (0..n).rev().find(|&i| participants[i] && alive[i]) else {
+                    continue;
+                };
+                let initiator = NodeId(initiator as u16);
+                let both: Vec<bool> = participants
+                    .iter()
+                    .zip(&alive)
+                    .map(|(&p, &a)| p && a)
+                    .collect();
+                fast.set_alive(&alive);
+                let start = SimTime::from_millis(seed * 17);
+                let a = fast.flood_with_participants(
+                    &cfg,
+                    initiator,
+                    start,
+                    &mut SimRng::seed_from(seed),
+                    &participants,
+                );
+                let b = slow.flood_with_participants(
+                    &cfg,
+                    initiator,
+                    start,
+                    &mut SimRng::seed_from(seed),
+                    &both,
+                );
+                assert_eq!(a, b, "n={n} side={side} seed={seed} diverged");
+                fast.clear_alive();
+                let a = fast.flood(&cfg, NodeId(0), start, &mut SimRng::seed_from(seed));
+                let b = slow.flood(&cfg, NodeId(0), start, &mut SimRng::seed_from(seed));
+                assert_eq!(a, b, "n={n} side={side} seed={seed} diverged unmasked");
+            }
+        }
+    }
+}
+
+#[test]
+fn flood_that_stops_transmitting_before_reaching_everyone_matches_reference() {
+    // Nodes 3 to 5 sit out, so nodes 6 and 7 (32 m past node 2) are cut
+    // off: the relays finish their N_TX early while those two keep
+    // listening. The reference runs the empty slots up to the budget; the
+    // kernel must report the same duration and radio-on time without
+    // running them.
+    let topo = Topology::line(8, 8.0, 2);
+    let cfg = GlossyConfig::with_uniform_ntx(1);
+    let mut participants = vec![true; 8];
+    participants[3..=5].fill(false);
+    let mut fast = FloodSimulator::new(&topo, &NoInterference);
+    let slow = ReferenceFloodSimulator::new(&topo, &NoInterference);
+    for seed in 0..8u64 {
+        let a = fast.flood_with_participants(
+            &cfg,
+            NodeId(0),
+            SimTime::ZERO,
+            &mut SimRng::seed_from(seed),
+            &participants,
+        );
+        let b = slow.flood_with_participants(
+            &cfg,
+            NodeId(0),
+            SimTime::ZERO,
+            &mut SimRng::seed_from(seed),
+            &participants,
+        );
+        assert_eq!(a, b, "seed {seed} diverged");
+        assert!(!a.received(NodeId(6)), "node 6 must be cut off");
+        assert!(a.received(NodeId(1)), "node 1 is one good hop away");
+        // The initiator and its first relay switched off early …
+        for i in [0u16, 1] {
+            assert!(a.node(NodeId(i)).radio.on_time() < cfg.max_slot_duration);
+        }
+        // … while the cut-off listeners and the flood ran it out.
+        assert_eq!(a.node(NodeId(6)).radio.on_time(), cfg.max_slot_duration);
+        assert_eq!(a.duration(), b.duration());
+        let last_slot_end = cfg.relay_slot_duration() * cfg.max_relay_slots() as u64;
+        assert_eq!(a.duration(), last_slot_end.min(cfg.max_slot_duration));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -201,9 +302,9 @@ proptest! {
     fn prop_kernels_agree_on_random_topologies(
         topo_seed in 0u64..500,
         flood_seed in 0u64..10_000,
-        n in 2usize..30,
+        n in 2usize..=130,
         ntx in 0u8..=8,
-        initiator_pick in 0usize..30,
+        initiator_pick in 0usize..130,
         duty_pct in 0u32..=50,
     ) {
         let topo = random_topology(n, topo_seed);
